@@ -184,7 +184,7 @@ def criterion_5(cfg, ns=(1, 2)):
             motive = make_tmotive(A, v_min=cfg.v_min)
             co = exp_coeffs(motive)
             l_direct = lattice_of(motive, coeffs=co)
-            l_routed = mu34(mu13(motive, coeffs=co))
+            l_routed = mu34(siegel_of(l_direct))
             eq, _ = lattices_equal(l_direct, l_routed, deg_cap=4,
                                    slack_units=cfg.slack)
             ok = ok and eq

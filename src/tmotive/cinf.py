@@ -26,7 +26,7 @@ from math import gcd, inf
 import numpy as np
 
 from . import _kernels
-from .errors import PrecisionError
+from .errors import GammaShapeError, PrecisionError
 from .ffield import FFElem
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -34,6 +34,9 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # clamp for precision numerators; twisting multiplies P by q^i and the
 # extra headroom beyond this is never observable at desk scale
 _PREC_CAP = 1 << 44
+
+# largest digit sum a 16-bit lane of the dense product kernels can hold
+_LANE_MAX = 0xFFFF
 
 
 class CinfElem:
@@ -199,9 +202,13 @@ class CinfElem:
         a, b = self._common(other)
         cap = min(a.prec + b.min_exp(), b.prec + a.min_exp())
         s = a.spec
+        # a 16-bit digit lane sums up to (p - 1) * min(len) products
+        lanes = s.lane_exp_np
+        if (s.p - 1) * min(len(a.exps), len(b.exps)) > _LANE_MAX:
+            lanes = None
         e, c = _kernels.series_mul(
             a.exps, a.coeffs, b.exps, b.coeffs,
-            s.log_np, s.exp_np, s.zech_np, s.lane_exp_np,
+            s.log_np, s.exp_np, s.zech_np, lanes,
             s.order - 1, s.p, s.D, cap)
         return CinfElem(s, a.ram, cap, e, c, _canonical=True)
 
@@ -366,6 +373,24 @@ def q_twist(x, i):
     else:
         coeffs = x.coeffs
     return CinfElem(spec, ram, prec, exps, coeffs, _canonical=True)
+
+
+def c_conj(x):
+    """Conjugate the F_{q^2} coefficients, c -> c^q, exponents unchanged.
+
+    The nontrivial automorphism of F_{q^2}/F_q applied termwise: a ring
+    automorphism of the series that fixes F_q coefficients and sends
+    omega to -omega, so x = P + omega Q has conjugate P - omega Q.
+    Raises GammaShapeError when a coefficient lies outside F_{q^2}.
+    """
+    spec = x.spec
+    qm1 = spec.order - 1
+    logs = spec.log_np[x.coeffs]
+    # F_{q^2}^* is the subgroup of logs divisible by (p^D - 1)/(q^2 - 1)
+    if (logs % (qm1 // (spec.q * spec.q - 1))).any():
+        raise GammaShapeError("coefficient outside F_{q^2}")
+    coeffs = spec.exp_np[(logs * spec.q) % qm1]
+    return CinfElem(spec, x.ram, x.prec, x.exps, coeffs, _canonical=True)
 
 
 def c_root(x, m):

@@ -146,7 +146,8 @@ def cmd_lattice_map(args):
     lat = lattice_of(motive)
     sg = siegel_of(lat)
     _emit({"config": cfg.to_json(), "basis": _matrix_to_json(lat.rows),
-           "siegel": _matrix_to_json(sg.Z)}, args)
+           "siegel": _matrix_to_json(sg.Z),
+           "v_det_im_z": _val_json(lat.v_det_im_z)}, args)
     return EXIT_OK
 
 

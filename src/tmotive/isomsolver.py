@@ -45,7 +45,7 @@ from .cinf import CinfElem, PolyT, c_inv, q_twist, theta
 from .errors import GammaShapeError, NonContractionError, SingularMatrixError
 from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv, omega_split
 from .latticemap import (GammaElem, eval_poly_matrix, lattice_of,
-                         lattices_equal, mobius, mu13)
+                         lattices_equal, mobius, siegel_of)
 from .linalg import (eye, mat_add, mat_inv, mat_min_prec, mat_mul, mat_neg,
                      mat_sub, mat_twist, pm_det, pm_mul, pm_sub, pm_twist,
                      split_blocks, zeros)
@@ -611,7 +611,8 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     Checks, at tolerance prec - 2*slack: action(gamma, Z(B)) = Z(A); the
     lattice classes agree (polynomial change of basis recovered); the
     residual report of Phi; det Phi a unit; the determinant consistency
-    N(det W1) = det(gamma)^n.
+    N(det W1) = det(gamma)^n.  Each of the two lattices is built once;
+    both Siegel matrices are the ones their lattice checks formed.
     """
     sol = solve_iso(motive, gamma, k=k)
     spec, n = motive.spec, motive.n
@@ -619,14 +620,15 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     prec_units = prec // ram
     tol = Fraction(prec_units - 2 * slack)
     motive_b = make_tmotive(sol.B, v_min=min(1, motive.v_min))
-    z_a = mu13(motive)
-    z_b = mu13(motive_b)
+    lat_a = lattice_of(motive)
+    lat_b = lattice_of(motive_b)
+    z_a = siegel_of(lat_a)
+    z_b = siegel_of(lat_b)
     img = mobius(gamma, z_b)
     diff = mat_sub(img.Z, z_a.Z)
     siegel_ok = all(x.valuation() >= tol for row in diff for x in row)
     cap = deg_cap if deg_cap is not None else 2 * gamma.k + 4
-    lat_ok, cob = lattices_equal(lattice_of(motive), lattice_of(motive_b),
-                                 deg_cap=cap, slack_units=slack)
+    lat_ok, cob = lattices_equal(lat_a, lat_b, deg_cap=cap, slack_units=slack)
     res_tol = Fraction(prec_units - slack)
     res_ok = all(v >= res_tol for v in sol.residuals.values())
     # N(det W1) = det(gamma)^(-n) under the inverse-transpose anchor

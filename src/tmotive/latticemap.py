@@ -9,7 +9,11 @@ The pipeline from a defining matrix A to a Siegel matrix runs:
      same fixed-point step, each update strictly raising the residual
      valuation;
   3. the lattice basis (rows normalized by 1/y0) and its Siegel matrix
-     Z = E2 E1^(-1) where E1, E2 are the two row blocks.
+     Z = E2 E1^(-1) where E1, E2 are the two row blocks.  The basis has
+     rank 2n exactly when Z lies in the Siegel half-space: its imaginary
+     part Im Z = (Z - Zbar)/(2 omega), with the bar conjugating the
+     F_{q^2} coefficients, is invertible.  Each Lattice checks this on
+     construction and keeps its Z, so Z is formed once per lattice.
 
 Lattices are compared in the sense that matters here: up to a linear
 transformation of the ambient space.  Equality is decided by recovering
@@ -24,12 +28,12 @@ from math import inf
 import numpy as np
 
 from .anderson import TMotive, exp_coeffs, exp_eval, make_tmotive
-from .cinf import CinfElem, c_inv, c_root, q_twist, theta_ij
+from .cinf import CinfElem, c_conj, c_inv, c_root, q_twist, theta_ij
 from .errors import (FieldError, GammaShapeError, NonContractionError,
                      PrecisionError, RecoveryError, SingularMatrixError)
 from .ffield import FFPoly, ffpoly_det, omega_split
-from .linalg import (eye, mat_add, mat_inv, mat_min_prec, mat_mul, mat_sub,
-                     split_blocks)
+from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec, mat_mul,
+                     mat_sub, split_blocks)
 
 _PERIOD_CACHE = {}
 _MAX_FIXED_POINT_STEPS = 256
@@ -106,63 +110,66 @@ def perturbed_root(motive, anchor, coeffs=None):
 
 
 class Lattice:
-    """Basis rows of a discrete rank-2n module in n-space.
+    """Basis rows of a discrete rank-2n module in n-space, with its Siegel matrix.
 
-    Checked on construction: the first n rows are invertible to
-    precision, and the 2n x 2n matrix pairing all rows against the
-    omega-split coordinates is invertible, which realizes the rank-2n
-    discreteness condition at working precision.
+    The rows split into two n x n blocks E1 (first n rows) and E2.
+    Checked on construction, on the Siegel side: E1 is invertible to
+    precision, and the Siegel matrix Z = E2 E1^(-1) lies in the Siegel
+    half-space, i.e. Im Z = (Z - Zbar) / (2 omega) is invertible, which
+    realizes the rank-2n discreteness condition at working precision.
+    The check leaves ``siegel`` (Z) and ``v_det_im_z`` (the valuation of
+    det Im Z) on the lattice.
     """
 
-    __slots__ = ("spec", "n", "rows")
+    __slots__ = ("spec", "n", "rows", "siegel", "v_det_im_z")
 
-    def __init__(self, rows, check=True):
+    def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.n = len(rows) // 2
         self.spec = rows[0][0].spec
         if len(rows) != 2 * self.n or any(len(r) != self.n for r in rows):
             raise ValueError("need 2n rows of length n")
-        if check:
-            self._check()
+        self._check()
 
     def blocks(self):
         return [r[:] for r in self.rows[:self.n]], [r[:] for r in self.rows[self.n:]]
 
     def _check(self):
-        e1, _ = self.blocks()
+        """Rank 2n iff E1 and Im Z are invertible.
+
+        Write each entry as x = P + omega Q with P, Q over F_q, and let a
+        bar conjugate the F_{q^2} coefficients (c -> c^q, so omega-bar =
+        -omega).  Then P = (x + xbar)/2 and Q = (x - xbar)/(2 omega), an
+        invertible column operation, so the 2n x 2n matrix [P | Q] is
+        invertible iff M = [[E1, E1bar], [E2, E2bar]] is.  The bar is a
+        ring automorphism, so E2 = Z E1 gives E2bar = Zbar E1bar, and
+        eliminating with E1:
+
+            det M = det E1 * det(E2bar - Z E1bar)
+                  = det E1 * det(Zbar - Z) * det E1bar.
+
+        det E1bar is the conjugate of det E1, so the rank condition is
+        that E1 is invertible (it is inverted anyway to form Z) and that
+        det(Z - Zbar) = (2 omega)^n det Im Z is nonzero to precision.
+        """
+        e1, e2 = self.blocks()
         try:
-            mat_inv(e1)
+            e1_inv = mat_inv(e1)
         except SingularMatrixError:
             raise SingularMatrixError("first block of lattice basis is singular")
-        big = []
+        # the bar must exist on every entry, as the omega-split needs it
         for row in self.rows:
-            p_parts, q_parts = [], []
             for x in row:
-                a, b = omega_split_series(x)
-                p_parts.append(a)
-                q_parts.append(b)
-            big.append(p_parts + q_parts)
-        try:
-            mat_inv(big)
-        except SingularMatrixError:
+                c_conj(x)
+        Z = mat_mul(e2, e1_inv)
+        det = mat_det(mat_sub(Z, [[c_conj(x) for x in r] for r in Z]))
+        if det.is_zero():
             raise SingularMatrixError("lattice basis does not have full rank 2n")
+        self.siegel = SiegelMatrix(Z)
+        self.v_det_im_z = det.valuation()
 
     def min_prec(self):
         return mat_min_prec(self.rows)
-
-
-def omega_split_series(x):
-    """Split a series with F_{q^2} coefficients as P + omega Q, P, Q over F_q."""
-    spec = x.spec
-    p_terms, q_terms = [], []
-    for e, c in x.term_items():
-        a, b = omega_split(c)
-        if not a.is_zero():
-            p_terms.append((e, a))
-        if not b.is_zero():
-            q_terms.append((e, b))
-    return (CinfElem.from_terms(spec, x.ram, x.prec, p_terms),
-            CinfElem.from_terms(spec, x.ram, x.prec, q_terms))
 
 
 class SiegelMatrix:
@@ -207,9 +214,12 @@ def lattice_of(motive, coeffs=None, y0=None):
 
 
 def siegel_of(lattice):
-    """Solve Z E1 = E2 on the two row blocks."""
-    e1, e2 = lattice.blocks()
-    return SiegelMatrix(mat_mul(e2, mat_inv(e1)))
+    """The solution Z of Z E1 = E2 on the two row blocks.
+
+    This is the SiegelMatrix the lattice's rank check formed, shared by
+    every caller, not a copy.
+    """
+    return lattice.siegel
 
 
 def mu34(siegel):

@@ -66,6 +66,16 @@ def test_lattice_map(capsys, a_file):
     assert z["terms"][0][0] == 0  # leading omega term at exponent zero
 
 
+def test_lattice_map_reports_im_z_valuation(capsys, tmp_path, cfg):
+    # A = 0 gives the base point Z = omega I, where det Im Z = 1
+    zero = CinfElem.zero(cfg.spec, cfg.ram, cfg.prec_num)
+    path = tmp_path / "A0.json"
+    path.write_text(json.dumps([[zero.to_json()]]))
+    rc, rep = run(capsys, "lattice-map", "--A", str(path), "--prec", str(PREC))
+    assert rc == EXIT_OK
+    assert rep["v_det_im_z"] == [0, 1]
+
+
 def test_mobius_fixes_base(capsys, gamma_file, tmp_path, cfg):
     spec = cfg.spec
     w = CinfElem.const(spec, cfg.ram, cfg.prec_num, spec.omega)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tmotive.cinf import CinfElem
 from tmotive.ffield import ambient_field
 from tmotive._kernels import BACKEND, pure
 
@@ -66,6 +67,23 @@ def test_lane_and_zech_paths_agree(F):
                                None, F.order - 1, F.p, F.D, cap)
     assert np.array_equal(with_lanes[0], no_lanes[0])
     assert np.array_equal(with_lanes[1], no_lanes[1])
+
+
+def test_lane_guard_depends_on_p():
+    # at p = 7 a 16-bit digit lane overflows past 0xFFFF / 6 = 10922
+    # overlapping terms; with every product's digits at p - 1, the middle
+    # of two 12,000-term series sums 12,000 of them
+    F7 = ambient_field(7, 1, 4)
+    n = 12000
+    e = np.arange(n, dtype=np.int64)
+    x = CinfElem(F7, 1, 3 * n, e, np.ones(n, dtype=np.int64))
+    y = CinfElem(F7, 1, 3 * n, e, np.full(n, F7.order - 1, dtype=np.int64))
+    prod = x * y
+    no_lanes = pure.series_mul(x.exps, x.coeffs, y.exps, y.coeffs, F7.log_np,
+                               F7.exp_np, F7.zech_np, None, F7.order - 1,
+                               F7.p, F7.D, 3 * n)
+    assert np.array_equal(prod.exps, no_lanes[0])
+    assert np.array_equal(prod.coeffs, no_lanes[1])
 
 
 def test_sparse_tail_path(F):

@@ -4,14 +4,15 @@ from math import inf
 
 import pytest
 
-from tmotive.errors import GammaShapeError, RecoveryError
-from tmotive.ffield import FFPoly, ambient_field
-from tmotive.cinf import CinfElem, c_inv, q_twist, theta_ij, t_uniformizer
+from tmotive.errors import GammaShapeError, RecoveryError, SingularMatrixError
+from tmotive.ffield import FFPoly, ambient_field, omega_split
+from tmotive.cinf import CinfElem, c_conj, c_inv, q_twist, theta_ij, t_uniformizer
 from tmotive.anderson import exp_coeffs, exp_eval_scalar, make_tmotive
+from tmotive.linalg import mat_inv
 from tmotive.latticemap import (GammaElem, Lattice, SiegelMatrix, carlitz_period,
                                 d10_series, gamma_from_alpha, lattice_of,
                                 lattices_equal, mobius, mobius_raw, mu13, mu34,
-                                newton_polygon_root_valuation, omega_split_series,
+                                newton_polygon_root_valuation,
                                 perturbed_root, random_gamma, random_nonstabilizer,
                                 recover_change_of_basis, siegel_of)
 
@@ -91,10 +92,104 @@ def test_lattice_invariants_random(F):
         assert len(lat.rows) == 2 * n  # construction ran both invariant checks
 
 
+def _const(F, c, ram=N, prec=PU * N):
+    return CinfElem.const(F, ram, prec, c)
+
+
+def _degenerate_bases(F, ram, prec):
+    """Bases the rank check must reject, with the error and its message."""
+    one, w = _const(F, F.one, ram, prec), _const(F, F.omega, ram, prec)
+    zero = CinfElem.zero(F, ram, prec)
+    t = CinfElem.monomial(F, ram, prec, ram, F.one)
+    two = _const(F, F.scalar(2), ram, prec)
+    eye2 = [[one, zero], [zero, one]]
+    outside = next(F.el(x) for x in range(F.order)
+                   if x and not F.el(x).in_subfield(2))
+    return [
+        # omega-split rank collapses
+        ([[one], [one]], SingularMatrixError, "full rank"),
+        # n = 2, Z with F_q coefficients only: Im Z = 0
+        (eye2 + [[one + t, t * t], [t, two]], SingularMatrixError, "full rank"),
+        # n = 2, Im Z = diag(1, 0)
+        (eye2 + [[w, zero], [zero, one + t]], SingularMatrixError, "full rank"),
+        ([[one, t], [one, t], [w, zero], [zero, w]], SingularMatrixError, "first block"),
+        ([[one], [one + t.scale(outside)]], GammaShapeError, "outside F_"),
+        # Z = omega lies in F_{q^2}, the basis entries do not
+        ([[one.scale(outside)], [w.scale(outside)]], GammaShapeError, "outside F_"),
+    ]
+
+
 def test_degenerate_rows_rejected(F):
-    one = CinfElem.const(F, N, PU * N, F.one)
-    with pytest.raises(Exception):
-        Lattice([[one], [one]])  # omega-split rank collapses
+    for rows, err, msg in _degenerate_bases(F, N, PU * N):
+        with pytest.raises(err, match=msg):
+            Lattice(rows)
+
+
+def _omega_split_series(x):
+    spec = x.spec
+    p_terms, q_terms = [], []
+    for e, c in x.term_items():
+        a, b = omega_split(c)
+        p_terms.append((e, a))
+        q_terms.append((e, b))
+    return (CinfElem.from_terms(spec, x.ram, x.prec, p_terms),
+            CinfElem.from_terms(spec, x.ram, x.prec, q_terms))
+
+
+def _omega_split_verdict(rows):
+    """The former rank check: invert E1, then the 2n x 2n matrix [P | Q]."""
+    n = len(rows) // 2
+    try:
+        mat_inv([r[:] for r in rows[:n]])
+        big = []
+        for row in rows:
+            parts = [_omega_split_series(x) for x in row]
+            big.append([a for a, _ in parts] + [b for _, b in parts])
+        mat_inv(big)
+    except (SingularMatrixError, GammaShapeError) as exc:
+        return type(exc)
+    return None
+
+
+def _siegel_verdict(rows):
+    try:
+        Lattice(rows)
+    except (SingularMatrixError, GammaShapeError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("p, prec_units", [(3, 60), (5, 30)])
+def test_siegel_check_matches_omega_split_check(p, prec_units):
+    G = ambient_field(p, 1, 4)
+    ram = G.q * G.q - 1
+    prec = prec_units * ram
+    rng = random.Random(p)
+    units = [x for x in G.subfield(2) if x]
+    rejected = [rows for rows, _, _ in _degenerate_bases(G, ram, prec)]
+    # Im Z nonzero only in the last few units of precision
+    one, w = _const(G, G.one, ram, prec), _const(G, G.omega, ram, prec)
+    zero = CinfElem.zero(G, ram, prec)
+
+    def t(m):
+        return CinfElem.monomial(G, ram, prec, m, G.one)
+
+    m = prec - 2 * ram
+    accepted = [[[one], [one + t(ram) + t(m).scale(G.omega)]],
+                [[one, zero], [zero, one], [w, t(ram)], [t(2 * ram), w * t(m)]],
+                [[one, zero], [zero, one], [one.scale(G.omega), w * t(ram)],
+                 [w * t(2 * ram), w * t(3 * ram) + w * t(m)]]]
+    for n in (1, 2):
+        for _ in range(3):
+            A = [[CinfElem.from_terms(G, ram, prec,
+                                      [(ram * v, G.el(rng.choice(units)))
+                                       for v in rng.sample(range(1, 5), rng.randrange(1, 3))])
+                  for _ in range(n)] for _ in range(n)]
+            accepted.append(lattice_of(make_tmotive(A)).rows)
+    for rows in rejected + accepted:
+        assert _omega_split_verdict(rows) == _siegel_verdict(rows)
+    assert all(_siegel_verdict(rows) is not None for rows in rejected)
+    assert all(_siegel_verdict(rows) is None for rows in accepted)
 
 
 def test_mu34_siegel_roundtrip_bit_exact(F):
@@ -112,11 +207,37 @@ def test_mu13_base_is_omega_identity(F, base):
 
 
 def test_omega_split_series_parts(F):
+    # x = P + omega Q with P, Q over F_q: the conjugate is P - omega Q, so
+    # (x + xbar)/2 = P and (x - xbar)/(2 omega) = Q
     w = F.omega
-    x = CinfElem.const(F, N, PU * N, F.one + w) + t_pow(F, 1).scale(w)
-    p, q = omega_split_series(x)
-    assert p.same_terms(CinfElem.const(F, N, PU * N, F.one))
-    assert q.coeff_at(0) == F.one and q.coeff_at(N) == F.one
+    rng = random.Random(8)
+    fq = [x for x in F.subfield(1) if x]
+    P = CinfElem.from_terms(F, N, PU * N, [(e, F.el(rng.choice(fq))) for e in range(0, 40, 3)])
+    Q = CinfElem.from_terms(F, N, PU * N, [(e, F.el(rng.choice(fq))) for e in range(-5, 40, 4)])
+    x = P + Q.scale(w)
+    xbar = c_conj(x)
+    two = F.scalar(2)
+    assert (x + xbar).scale(two.inv()) == P
+    assert (x - xbar).scale((two * w).inv()) == Q
+    assert xbar == P - Q.scale(w)
+    assert c_conj(xbar) == x
+    assert c_conj(P) == P
+
+
+def test_conjugation_uses_q_not_p():
+    # q = 9 (s = 2): F_q is fixed and omega flips, although x -> x^p moves both
+    G = ambient_field(3, 2, 8)
+    ram, prec = G.q * G.q - 1, 10 * (G.q * G.q - 1)
+    a = next(G.el(x) for x in G.subfield(1) if G.el(x) ** G.p != G.el(x))
+    w = G.omega
+    assert w ** G.p != -w
+    x = CinfElem.const(G, ram, prec, a) + CinfElem.monomial(G, ram, prec, ram, w)
+    assert c_conj(x) == CinfElem.const(G, ram, prec, a) - CinfElem.monomial(G, ram, prec, ram, w)
+    one = CinfElem.const(G, ram, prec, G.one)
+    lat = Lattice([[one], [CinfElem.const(G, ram, prec, w)]])
+    assert lat.v_det_im_z == 0
+    with pytest.raises(SingularMatrixError):
+        Lattice([[one], [CinfElem.const(G, ram, prec, a)]])  # Z in F_9, Im Z = 0
 
 
 def test_d10_series_values(F, y0):
