@@ -4,9 +4,10 @@ Layers, bottom to top:
 
 * ``ffield``     ambient finite field with table-driven arithmetic
 * ``cinf``       truncated Puiseux series over the ambient field
+* ``linalg``     matrices over every ring above, vectorization, solving
 * ``anderson``   module data, exponential coefficients and evaluation
 * ``latticemap`` period, perturbed roots, lattices, Siegel matrices, mobius
-* ``isomsolver`` block isomorphism system, vectorization, fixed-point solver
+* ``isomsolver`` block isomorphism system and its fixed-point solver
 * ``cli``        JSON-speaking command line driver and acceptance runner
 
 The series kernels have a compiled backend (Cython) with a pure-numpy

@@ -1,7 +1,8 @@
 """Kernel backend selection: compiled extension when built, numpy fallback.
 
-Set TMOTIVE_PURE=1 in the environment to force the pure backend (used by
-the benchmark and by backend-equivalence tests).
+Set TMOTIVE_PURE=1 in the environment to force the pure backend
+(benchmarks/bench_kernels.py sets it to time each backend; the tests
+import the pure module directly).
 """
 
 import os

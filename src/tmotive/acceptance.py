@@ -12,15 +12,15 @@ from fractions import Fraction
 from math import inf
 
 from .anderson import exp_coeffs, exp_eval_scalar, functional_residual, make_tmotive
-from .cinf import CinfElem, c_inv, theta_ij, t_uniformizer
+from .cinf import CinfElem, PolyT, c_inv, theta_ij, t_uniformizer
 from .config import Config
-from .errors import GammaShapeError, NeighborhoodError, TMotiveError
+from .errors import GammaShapeError, NeighborhoodError
 from .ffield import FFPoly
-from .latticemap import (GammaElem, SiegelMatrix, carlitz_period, d10_series,
-                         lattice_of, lattices_equal, mobius, mu13, mu34,
+from .latticemap import (SiegelMatrix, carlitz_period, d10_series, lattice_of,
+                         lattices_equal, mobius, mu13, mu34, perturbed_root,
                          random_gamma, siegel_of)
 from .isomsolver import alpha_from_matrix, morphism_residual, solve_iso, theorem3_check
-from .linalg import eye, mat_sub, zeros
+from .linalg import eye, mat_sub
 
 
 @dataclass
@@ -144,14 +144,11 @@ def criterion_4(cfg):
     sep_ok = not (d10p - d10.scale(w)).is_zero()
     slopes = {}
     root_ok = True
-    base = make_tmotive([[CinfElem.zero(spec, ram, prec)]])
-    co0 = exp_coeffs(base)
     for m in (8, 12):
         a = t_uniformizer(spec, ram, cfg.prec) ** m
         motive = make_tmotive([[a]])
         co = exp_coeffs(motive)
         # root slope: (root - y0)/a -> -d10 and the omega-anchored analog
-        from .latticemap import perturbed_root
         za = perturbed_root(motive, [y0], coeffs=co)[0]
         s_root = (za - y0) * c_inv(a)
         root_ok = root_ok and (s_root + d10).valuation() > d10.valuation()
@@ -346,7 +343,6 @@ def criterion_9(cfg):
     sol = solve_iso(motive, g)
     Phi = [row[:] for row in sol.Phi]
     bump = CinfElem.monomial(spec, ram, prec, 2 * ram, spec.one)
-    from .cinf import PolyT
     Phi[0][0] = Phi[0][0] + PolyT.const(bump)
     res = morphism_residual(motive, sol.B, Phi)
     corrupted_visible = any(v != inf and v < cfg.prec - cfg.slack

@@ -22,7 +22,8 @@ from math import inf
 
 from .cinf import CinfElem, PolyT, c_inv, q_twist, theta, theta_ij
 from .errors import NeighborhoodError, PrecisionError
-from .linalg import eye, mat_min_prec, mat_twist, zeros
+from .linalg import (eye, mat_add, mat_min_prec, mat_min_valuation, mat_mul,
+                     mat_twist, zeros)
 
 _IMAX_HARD_CAP = 64
 
@@ -64,34 +65,25 @@ def make_tmotive(A, v_min=1):
     return TMotive(A, v_min=v_min)
 
 
-class TauMatrix:
-    """Matrix of the tau-action on the T-basis (e, tau e)."""
+def tau_matrix(A, ram, prec):
+    """The tau-action on the T-basis (e, tau e) of M(A), built exactly.
 
-    __slots__ = ("R", "n")
-
-    def __init__(self, R, n):
-        self.R = R
-        self.n = n
-
-
-def tau_matrix(motive):
-    """Block form [[0, E], [(T - theta) E, -A]], built exactly."""
-    spec, n = motive.spec, motive.n
-    ram, prec = motive.ram, motive.prec
+    Block form [[0, E], [(T - theta) E, -A]] as a 2n x 2n PolyT matrix,
+    with theta and E at ramification ram and precision numerator prec.
+    """
+    n = len(A)
+    spec = A[0][0].spec
     zero_p = PolyT(spec)
     one = CinfElem.const(spec, ram, prec, spec.one)
     th = theta(spec, ram, prec // ram)
-    R = [[zero_p for _ in range(2 * n)] for _ in range(2 * n)]
+    R = [[zero_p] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         R[i][n + i] = PolyT.const(one)
         R[n + i][i] = PolyT.t_minus(th)
         for j in range(n):
-            a = motive.A[i][j]
-            if not a.is_zero():
-                R[n + i][n + j] = PolyT.const(-a)
-            elif a.prec < prec:
-                R[n + i][n + j] = PolyT(spec)
-    return TauMatrix(R, n)
+            if not A[i][j].is_zero():
+                R[n + i][n + j] = PolyT.const(-A[i][j])
+    return R
 
 
 class ExpCoeffs:
@@ -110,10 +102,6 @@ class ExpCoeffs:
         self.imax = len(C) - 1
         self.floor = floor
         self.target_units = target_units
-
-
-def _coeff_min_val(mat):
-    return min(x.valuation() for row in mat for x in row)
 
 
 def _tail_certified(est, target):
@@ -157,22 +145,14 @@ def exp_coeffs(motive, imax=None, z_floor=None, target_units=None):
         inv_ti0 = c_inv(theta_ij(spec, ram, prec_units, i, 0))
         term = mat_twist(prev, 2) if i >= 2 else zeros(spec, ram, prec, n)
         if not motive.is_base_point():
-            term = [[term[r][c] + _dot(motive.A, mat_twist(C[-1], 1), r, c)
-                     for c in range(n)] for r in range(n)]
+            term = mat_add(term, mat_mul(motive.A, mat_twist(C[-1], 1)))
         Ci = [[x * inv_ti0 for x in row] for row in term]
         if any(x.prec <= 0 for row in Ci for x in row):
             raise PrecisionError(f"precision exhausted at coefficient {i}")
         prev = C[-1]
         C.append(Ci)
-        est.append(_coeff_min_val(Ci) + (q ** i) * z_floor)
+        est.append(mat_min_valuation(Ci) + (q ** i) * z_floor)
     return ExpCoeffs(motive, C, z_floor, target_units)
-
-
-def _dot(a, b, r, c):
-    acc = a[r][0] * b[0][c]
-    for k in range(1, len(b)):
-        acc = acc + a[r][k] * b[k][c]
-    return acc
 
 
 def _vec_twist(z, i):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GammaShapeError, PrecisionError
-from .ffield import FFElem
+from .ffield import FFElem, find_root_in_field
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -163,9 +163,6 @@ class CinfElem:
         cut = np.searchsorted(self.exps, new_prec)
         return CinfElem(self.spec, self.ram, new_prec,
                         self.exps[:cut], self.coeffs[:cut], _canonical=True)
-
-    def with_prec(self, new_prec):
-        return self.truncate(new_prec)
 
     def _common(self, other):
         if self.spec is not other.spec:
@@ -313,16 +310,6 @@ def theta_ij(spec, ram, prec_units, i, j):
 # operations
 
 
-def c_arith(x, y, op):
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def c_inv(x):
     """Series inverse by leading-monomial peel and Newton doubling.
 
@@ -401,7 +388,6 @@ def c_root(x, m):
     w -> w - (w^m - u)/(m w^(m-1)) on the unit part.  The ramification is
     lifted to N*m when m does not divide the leading exponent.
     """
-    from .ffield import find_root_in_field
     spec = x.spec
     if m < 2:
         raise ValueError("root order must be at least 2")
@@ -533,19 +519,3 @@ class PolyT:
 
     def __repr__(self):
         return f"PolyT(deg={self.degree()})"
-
-
-def poly_t_arith(f, g, op):
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_t_twist(f, i):
-    return f.twist(i)
-
-
-def poly_t_eval(f, z):
-    return f.eval(z)

@@ -20,7 +20,7 @@ from .errors import (GammaShapeError, NeighborhoodError, NonContractionError,
                      PrecisionError, SchemaError, SingularMatrixError,
                      TMotiveError)
 from .latticemap import (GammaElem, SiegelMatrix, carlitz_period, d10_series,
-                         lattice_of, mobius, mu13, siegel_of)
+                         lattice_of, mobius, siegel_of)
 from .isomsolver import solve_iso
 
 EXIT_OK = 0

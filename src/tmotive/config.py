@@ -1,6 +1,6 @@
 """Run configuration: field choice, precision budget, neighborhood radii."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SchemaError
 from .ffield import ambient_field

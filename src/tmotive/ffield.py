@@ -452,26 +452,7 @@ class FFElem:
 
 
 # ---------------------------------------------------------------------------
-# named operation surface
-
-
-def ff_arith(x, y, op):
-    """Field arithmetic dispatch: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frobenius(x, i):
-    if i < 0:
-        raise ValueError("use FFElem.frobenius for inverse twists")
-    return x.frobenius(i)
+# roots and the omega split
 
 
 def find_root_in_field(poly):
@@ -490,11 +471,6 @@ def find_root_in_field(poly):
         if acc.is_zero():
             return e
     return None
-
-
-def omega_of(spec):
-    """The canonical quadratic element; raises if the spec cannot house one."""
-    return spec.omega
 
 
 def omega_split(x):

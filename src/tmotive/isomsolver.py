@@ -40,59 +40,16 @@ is det(gamma)^(-n), the form the determinant consistency check takes.
 from fractions import Fraction
 from math import inf
 
-from .anderson import TMotive, make_tmotive
-from .cinf import CinfElem, PolyT, c_inv, q_twist, theta
+from .anderson import TMotive, make_tmotive, tau_matrix
+from .cinf import CinfElem, PolyT, q_twist, theta
 from .errors import GammaShapeError, NonContractionError, SingularMatrixError
 from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv, omega_split
-from .latticemap import (GammaElem, eval_poly_matrix, lattice_of,
-                         lattices_equal, mobius, siegel_of)
-from .linalg import (eye, mat_add, mat_inv, mat_min_prec, mat_mul, mat_neg,
-                     mat_sub, mat_twist, pm_det, pm_mul, pm_sub, pm_twist,
-                     split_blocks, zeros)
+from .latticemap import GammaElem, lattice_of, lattices_equal, mobius, siegel_of
+from .linalg import (kron_left, kron_right, mat_add, mat_inv, mat_min_prec,
+                     mat_min_valuation, mat_mul, mat_neg, mat_sub, mat_twist,
+                     pm_det, pm_min_valuation, pm_twist, split_blocks, zeros)
 
 _MAX_PICARD_STEPS = 400
-
-
-# ---------------------------------------------------------------------------
-# vectorization bookkeeping
-
-
-class VecOps:
-    """Row-major vectorization and the left/right multiplication matrices."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def vec(self, m):
-        return [x for row in m for x in row]
-
-    def unvec(self, v):
-        n = self.n
-        return [list(v[i * n:(i + 1) * n]) for i in range(n)]
-
-    def left(self, a):
-        """L with vec(a m) = L vec(m)."""
-        n = self.n
-        spec = a[0][0].spec
-        z = CinfElem.zero(spec, a[0][0].ram, mat_min_prec(a))
-        out = [[z for _ in range(n * n)] for _ in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                for t in range(n):
-                    out[i * n + t][j * n + t] = a[i][j]
-        return out
-
-    def right(self, a):
-        """R with vec(m a) = R vec(m): block diagonal of transposed blocks."""
-        n = self.n
-        spec = a[0][0].spec
-        z = CinfElem.zero(spec, a[0][0].ram, mat_min_prec(a))
-        out = [[z for _ in range(n * n)] for _ in range(n * n)]
-        for b in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[b * n + i][b * n + j] = a[j][i]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +169,6 @@ class LinearSystem:
         """Norm of det W1 down to the base field."""
         return self.det_w1 * self.det_w1.frobenius(1)
 
-    def eval_w1(self, ram, prec):
-        return eval_poly_matrix(self.W1_sym, self.spec, ram, prec)
-
-    def eval_w2(self, ram, prec):
-        return eval_poly_matrix(self.W2_sym, self.spec, ram, prec)
-
     def alpha_hat_eval(self, ram, prec_units):
         """The theta-evaluated conjugate alpha image, an n x n series matrix."""
         spec, n = self.spec, self.n
@@ -238,9 +189,8 @@ class LinearSystem:
         the V band away, leaving alpha_hat B = sum theta^i m_rhs[i]; V
         back-substitutes from the top row down.
         """
-        spec, n, k = self.spec, self.n, self.k
-        S = [m for m in s_rhs]
-        th_pows = None
+        k = self.k
+        S = list(s_rhs)
         acc = None
         for i, R in enumerate(m_rhs):
             term = _mat_theta_shift(R, i)
@@ -313,33 +263,11 @@ def build_linear_system(gamma, k=None):
     W2 = [[zero for _ in range(n * n)] for _ in range(sz)]
     nn = n * n
 
-    def ublock(d):
-        # (Uhat_d)_l in row-major vectorization: U[i][j] at (i n + t, j n + t)
-        blk = [[zero for _ in range(nn)] for _ in range(nn)]
-        for i in range(n):
-            for j in range(n):
-                u = U_hat[d][i][j]
-                if not u.is_zero():
-                    for t in range(n):
-                        blk[i * n + t][j * n + t] = FFPoly.const(u)
-        return blk
-
-    def uright(d):
-        # (Uhat_d^(1))_r: block diagonal with transposed twisted blocks
-        blk = [[zero for _ in range(nn)] for _ in range(nn)]
-        for b in range(n):
-            for i in range(n):
-                for j in range(n):
-                    u = U_hat[d][j][i].frobenius(1)
-                    if not u.is_zero():
-                        blk[b * n + i][b * n + j] = FFPoly.const(u)
-        return blk
-
-    def put(row0, col0, blk):
+    def put(W, row0, col0, blk):
         for i, r in enumerate(blk):
             for j, x in enumerate(r):
                 if not x.is_zero():
-                    W1[row0 + i][col0 + j] = x
+                    W[row0 + i][col0 + j] = x
 
     # S-rows: identity on the S block
     for i in range(k):
@@ -348,18 +276,16 @@ def build_linear_system(gamma, k=None):
     # M-rows
     for i in range(k + 1):
         r0 = (k + i) * nn
-        put(r0, 0, ublock(i))
+        u = [[FFPoly.const(x) for x in row] for row in U_hat[i]]
+        # (Uhat_i)_l on B and the twisted (Uhat_i^(1))_r on the right-hand side
+        put(W1, r0, 0, kron_left(u, zero))
+        put(W2, r0, 0, kron_right([[x.frobenius(1) for x in row] for row in u], zero))
         if i >= 1:
             for t in range(nn):
                 W1[r0 + t][nn * (1 + k) + (i - 1) * nn + t] = one
         if i < k:
             for t in range(nn):
                 W1[r0 + t][nn * (1 + k) + i * nn + t] = -th
-        ur = uright(i)
-        for t in range(nn):
-            for u in range(nn):
-                if not ur[t][u].is_zero():
-                    W2[r0 + t][u] = ur[t][u]
     det = ffpoly_det(W1)
     if det.is_zero():
         raise SingularMatrixError("linear system is singular: group structure violated")
@@ -437,7 +363,7 @@ def _phi_blocks(system, ansatz, ram, prec):
     tw11 = [[x.twist(1) for x in row] for row in phi11]
     tw12 = [[x.twist(1) for x in row] for row in phi12]
     bmat = [[PolyT.const(x) for x in row] for row in ansatz.B]
-    phi22 = pm_sub(tw11, pm_mul(tw12, bmat))
+    phi22 = mat_sub(tw11, mat_mul(tw12, bmat))
     return phi11, phi12, phi21, phi22
 
 
@@ -481,12 +407,7 @@ def _equations(system, motive, ansatz):
 
 
 def _min_val(mats):
-    v = inf
-    for m in mats:
-        for row in m:
-            for x in row:
-                v = min(v, x.valuation())
-    return v
+    return min((mat_min_valuation(m) for m in mats), default=inf)
 
 
 def solve_iso(motive, gamma, k=None):
@@ -514,8 +435,7 @@ def solve_iso(motive, gamma, k=None):
             break
         dB, dS, dV = system.apply_w1_inverse(
             [mat_neg(e) for e in s_eqs], [mat_neg(e) for e in m_eqs], alpha_hat_inv)
-        v_now = min(_min_val([dB]), _min_val(dS) if dS else inf,
-                    _min_val(dV) if dV else inf)
+        v_now = _min_val([dB] + dS + dV)
         if v_now == inf:
             break
         if v_now <= v_prev:
@@ -540,28 +460,6 @@ def solve_iso(motive, gamma, k=None):
 # residuals
 
 
-def _tau_action_matrix(spec, n, A, ram, prec):
-    th = theta(spec, ram, prec // ram)
-    zero_p = PolyT(spec)
-    one = CinfElem.const(spec, ram, prec, spec.one)
-    R = [[zero_p for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        R[i][n + i] = PolyT.const(one)
-        R[n + i][i] = PolyT.t_minus(th)
-        for j in range(n):
-            if not A[i][j].is_zero():
-                R[n + i][n + j] = PolyT.const(-A[i][j])
-    return R
-
-
-def _pm_min_val(m):
-    v = inf
-    for row in m:
-        for x in row:
-            v = min(v, x.min_valuation())
-    return v
-
-
 def morphism_residual(motive_a, B, Phi):
     """Valuation report for the four block relations and the full identity.
 
@@ -571,33 +469,32 @@ def morphism_residual(motive_a, B, Phi):
     """
     A = motive_a.A if isinstance(motive_a, TMotive) else motive_a
     n = len(A)
-    spec = A[0][0].spec
     ram = A[0][0].ram
     prec = mat_min_prec(A)
     phi11, phi12, phi21, phi22 = split_blocks(Phi, n)
-    th = theta(spec, ram, prec // ram)
+    th = theta(A[0][0].spec, ram, prec // ram)
     tmth = PolyT.t_minus(th)
     a_pm = [[PolyT.const(x) for x in row] for row in A]
     b_pm = [[PolyT.const(x) for x in row] for row in B]
 
-    r1 = pm_sub(phi21, [[tmth * x.twist(1) for x in row] for row in phi12])
-    r2 = pm_sub(phi22, pm_sub(pm_twist(phi11, 1), pm_mul(pm_twist(phi12, 1), b_pm)))
-    r3 = pm_sub(pm_sub(phi11, pm_mul(a_pm, pm_twist(phi12, 1))),
-                pm_sub(pm_twist(phi11, 2), pm_mul(pm_twist(phi12, 2), pm_twist(b_pm, 1))))
+    r1 = mat_sub(phi21, [[tmth * x.twist(1) for x in row] for row in phi12])
+    r2 = mat_sub(phi22, mat_sub(pm_twist(phi11, 1), mat_mul(pm_twist(phi12, 1), b_pm)))
+    r3 = mat_sub(mat_sub(phi11, mat_mul(a_pm, pm_twist(phi12, 1))),
+                 mat_sub(pm_twist(phi11, 2), mat_mul(pm_twist(phi12, 2), pm_twist(b_pm, 1))))
     tmthq = PolyT.t_minus(q_twist(th, 1))
-    lhs4 = pm_sub([[tmth * x for x in row] for row in phi12], pm_mul(a_pm, pm_twist(phi11, 1)))
-    rhs4 = pm_sub([[tmthq * x for x in row] for row in pm_twist(phi12, 2)],
-                  pm_mul(phi11, b_pm))
-    r4 = pm_sub(lhs4, rhs4)
-    Ra = _tau_action_matrix(spec, n, A, ram, prec)
-    Rb = _tau_action_matrix(spec, n, B, ram, prec)
-    full = pm_sub(pm_mul(Ra, Phi), pm_mul(pm_twist(Phi, 1), Rb))
+    lhs4 = mat_sub([[tmth * x for x in row] for row in phi12], mat_mul(a_pm, pm_twist(phi11, 1)))
+    rhs4 = mat_sub([[tmthq * x for x in row] for row in pm_twist(phi12, 2)],
+                   mat_mul(phi11, b_pm))
+    r4 = mat_sub(lhs4, rhs4)
+    # B's tau-action is built at A's ramification and precision
+    full = mat_sub(mat_mul(tau_matrix(A, ram, prec), Phi),
+                   mat_mul(pm_twist(Phi, 1), tau_matrix(B, ram, prec)))
     return {
-        "phi21_def": _pm_min_val(r1),
-        "phi22_def": _pm_min_val(r2),
-        "block11": _pm_min_val(r3),
-        "block12": _pm_min_val(r4),
-        "full": _pm_min_val(full),
+        "phi21_def": pm_min_valuation(r1),
+        "phi22_def": pm_min_valuation(r2),
+        "block11": pm_min_valuation(r3),
+        "block12": pm_min_valuation(r4),
+        "full": pm_min_valuation(full),
     }
 
 
@@ -625,8 +522,7 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     z_a = siegel_of(lat_a)
     z_b = siegel_of(lat_b)
     img = mobius(gamma, z_b)
-    diff = mat_sub(img.Z, z_a.Z)
-    siegel_ok = all(x.valuation() >= tol for row in diff for x in row)
+    siegel_gap = mat_min_valuation(mat_sub(img.Z, z_a.Z))
     cap = deg_cap if deg_cap is not None else 2 * gamma.k + 4
     lat_ok, cob = lattices_equal(lat_a, lat_b, deg_cap=cap, slack_units=slack)
     res_tol = Fraction(prec_units - slack)
@@ -636,8 +532,8 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     return {
         "B": sol.B,
         "solution": sol,
-        "siegel_match": siegel_ok,
-        "siegel_gap": min((x.valuation() for row in diff for x in row), default=inf),
+        "siegel_match": siegel_gap >= tol,
+        "siegel_gap": siegel_gap,
         "lattices_equal": lat_ok,
         "change_of_basis": cob,
         "residuals": sol.residuals,

@@ -23,17 +23,17 @@ matrices) and certifying C invertible with constant determinant.
 """
 
 from fractions import Fraction
-from math import inf
+from itertools import product
 
 import numpy as np
 
-from .anderson import TMotive, exp_coeffs, exp_eval, make_tmotive
+from .anderson import exp_coeffs, exp_eval, make_tmotive
 from .cinf import CinfElem, c_conj, c_inv, c_root, q_twist, theta_ij
-from .errors import (FieldError, GammaShapeError, NonContractionError,
-                     PrecisionError, RecoveryError, SingularMatrixError)
+from .errors import (GammaShapeError, NonContractionError, PrecisionError,
+                     RecoveryError, SingularMatrixError)
 from .ffield import FFPoly, ffpoly_det, omega_split
-from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec, mat_mul,
-                     mat_sub, split_blocks)
+from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec,
+                     mat_min_valuation, mat_mul, mat_sub, split_blocks)
 
 _PERIOD_CACHE = {}
 _MAX_FIXED_POINT_STEPS = 256
@@ -354,31 +354,10 @@ class GammaElem:
     def compose(self, other):
         """Block product; the shape is closed under multiplication."""
         w2 = self.spec.omega * self.spec.omega
-        n = self.n
         G1, H1, G2, H2 = self.G, self.H, other.G, other.H
-
-        def mm(a, b, scale=None):
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = a[i][0] * b[0][j]
-                    for l in range(1, n):
-                        acc = acc + a[i][l] * b[l][j]
-                    row.append(acc * scale if scale is not None else acc)
-                out.append(row)
-            return out
-
-        def madd(a, b):
-            return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-        G = madd(mm(G1, G2), mm(H1, H2, w2))
-        H = madd(mm(H1, G2), mm(G1, H2))
+        G = mat_add(mat_mul(G1, G2), [[x * w2 for x in r] for r in mat_mul(H1, H2)])
+        H = mat_add(mat_mul(H1, G2), mat_mul(G1, H2))
         return GammaElem(G, H, k=self.k + other.k)
-
-    def conjugate(self):
-        """Flip the sign of H; the image of the field conjugation."""
-        return GammaElem(self.G, [[-p for p in r] for r in self.H], k=self.k)
 
     def alpha_poly(self):
         """G + omega H as a matrix of polynomials over F_{q^2}."""
@@ -446,18 +425,6 @@ def random_gamma(spec, n, k, rng):
             if not ffpoly_det(mat).is_zero():
                 return mat
 
-    def pmul(a, b):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = a[i][0] * b[0][j]
-                for l in range(1, n):
-                    acc = acc + a[i][l] * b[l][j]
-                row.append(acc)
-            out.append(row)
-        return out
-
     budget = k
     acc = const_invertible()
     first = True
@@ -476,8 +443,7 @@ def random_gamma(spec, n, k, rng):
         tv = [[FFPoly.const(spec.one) if a == b else FFPoly(spec)
                for b in range(n)] for a in range(n)]
         tv[i][j] = FFPoly(spec, coeffs)
-        acc = pmul(acc, tv)
-        acc = pmul(acc, const_invertible())
+        acc = mat_mul(mat_mul(acc, tv), const_invertible())
         if budget == 0:
             break
     return gamma_from_alpha(spec, acc, k=k)
@@ -499,19 +465,12 @@ def random_nonstabilizer(spec, n, k, rng):
         d = rng.randrange(0, k + 1)
         tv = [[one if a == b else z for b in range(m)] for a in range(m)]
         tv[i][j] = FFPoly(spec, [spec.zero] * d + [c])
-        acc = [[_dotp(acc, tv, a, b) for b in range(m)] for a in range(m)]
+        acc = mat_mul(acc, tv)
     # reject the (unlikely) block-shaped outcome
     tl = [r[:n] for r in acc[:n]]
     br = [r[n:] for r in acc[n:]]
     if all(tl[i][j] == br[i][j] for i in range(n) for j in range(n)):
         acc[0][0] = acc[0][0] + FFPoly.theta(spec)
-    return acc
-
-
-def _dotp(a, b, i, j):
-    acc = a[i][0] * b[0][j]
-    for l in range(1, len(b)):
-        acc = acc + a[i][l] * b[l][j]
     return acc
 
 
@@ -535,10 +494,8 @@ def mobius_raw(blocks_2n, Z):
     prec = mat_min_prec(Z)
     m = eval_poly_matrix(blocks_2n, spec, ram, prec)
     P, Q, R, S = split_blocks(m, n)
-    num = mat_mul(P, Z)
-    num = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(num, Q)]
-    den = mat_mul(R, Z)
-    den = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(den, S)]
+    num = mat_add(mat_mul(P, Z), Q)
+    den = mat_add(mat_mul(R, Z), S)
     return mat_mul(num, mat_inv(den))
 
 
@@ -676,7 +633,6 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
 
 def _fq_combinations(null, p, sdim):
     """Nonzero F_p-combinations of up to three nullspace vectors."""
-    from itertools import product
     k = len(null)
     for coeffs in product(range(p), repeat=k):
         if all(c == 0 for c in coeffs):
@@ -719,8 +675,7 @@ def _verify_change_of_basis(C, Z1, Z2, tol):
     X, Y, U, V = split_blocks(m, n)
     lhs = mat_mul(Z1, mat_add(X, mat_mul(Y, Z2)))
     rhs = mat_add(U, mat_mul(V, Z2))
-    resid = mat_sub(lhs, rhs)
-    return all(x.valuation() >= tol for r in resid for x in r)
+    return mat_min_valuation(mat_sub(lhs, rhs)) >= tol
 
 
 def lattices_equal(l1, l2, deg_cap=8, slack_units=10):

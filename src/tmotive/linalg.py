@@ -1,14 +1,21 @@
-"""Dense matrix helpers over the series ring and over PolyT.
+"""The one dense matrix layer, for every coefficient ring of the package.
 
-Matrices are plain nested lists (rows of CinfElem or PolyT).  Sizes stay
-tiny (at most a dozen rows), so the implementations favor clarity:
-Gauss-Jordan with valuation pivoting for inversion and solving, Laplace
-expansion for the small PolyT determinants.
+Matrices are plain nested lists whose entries come from one ring: series
+(CinfElem), polynomials in T over the series (PolyT) or polynomials in
+theta over the ambient field (FFPoly).  Sums, products, block splitting
+and vectorization (row-major vec and the Kronecker matrices of left and
+right multiplication) use only + and * on entries, so they serve all
+three rings.  Where a ring names an operation differently (twists,
+valuations, determinants) there is one helper per ring.
+
+Sizes stay tiny (at most a dozen rows), so the implementations favor
+clarity: Gauss-Jordan with valuation pivoting for inversion and solving
+over the series, Laplace expansion for the small PolyT determinants.
 """
 
 from math import inf
 
-from .cinf import CinfElem, PolyT, q_twist
+from .cinf import CinfElem, PolyT, c_inv, q_twist
 from .errors import SingularMatrixError
 
 
@@ -38,6 +45,8 @@ def mat_neg(a):
 
 
 def mat_mul(a, b):
+    """The matrix product; it needs only + and * on entries, so it serves
+    CinfElem, PolyT and FFPoly matrices alike."""
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
     for i in range(rows):
@@ -51,22 +60,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_scale(a, c):
-    if isinstance(c, CinfElem):
-        return [[x * c for x in r] for r in a]
-    return [[x.scale(c) for x in r] for r in a]
-
-
 def mat_twist(a, i):
     return [[q_twist(x, i) for x in r] for r in a]
-
-
-def mat_truncate(a, prec):
-    return [[x.truncate(prec) for x in r] for r in a]
-
-
-def transpose(a):
-    return [list(r) for r in zip(*a)]
 
 
 def mat_min_valuation(a):
@@ -79,18 +74,6 @@ def mat_min_valuation(a):
 
 def mat_min_prec(a):
     return min(x.prec for r in a for x in r)
-
-
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_same_terms(a, b):
-    return all(x.same_terms(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a):
-    return all(x.is_zero() for r in a for x in r)
 
 
 def _pivot_row(col, start, rows):
@@ -111,14 +94,11 @@ def mat_solve(a, rhs):
     """
     n = len(a)
     m = [list(ra) + list(rr) for ra, rr in zip(a, rhs)]
-    w = len(m[0])
     for col in range(n):
         piv = _pivot_row(col, col, m)
         if piv < 0:
             raise SingularMatrixError(f"no pivot in column {col}")
         m[col], m[piv] = m[piv], m[col]
-        inv = None
-        from .cinf import c_inv
         inv = c_inv(m[col][col])
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
@@ -142,7 +122,6 @@ def mat_det(a):
     n = len(a)
     m = [list(r) for r in a]
     sign = 1
-    from .cinf import c_inv
     det = None
     for col in range(n):
         piv = _pivot_row(col, col, m)
@@ -174,14 +153,13 @@ def unvec_rowmajor(v, n):
     return [list(v[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def kron_left(a):
-    """K with vec(a m) = K vec(m): a tensor identity in row-major layout."""
+def kron_left(a, zero):
+    """K with vec(a m) = K vec(m): a tensor identity in row-major layout.
+
+    zero fills the entries off the pattern; it is the zero of a's ring.
+    """
     n = len(a)
-    spec = a[0][0].spec
-    ram = a[0][0].ram
-    prec = mat_min_prec(a)
-    z = CinfElem.zero(spec, ram, prec)
-    out = [[z for _ in range(n * n)] for _ in range(n * n)]
+    out = [[zero] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -189,14 +167,10 @@ def kron_left(a):
     return out
 
 
-def kron_right(a):
+def kron_right(a, zero):
     """K with vec(m a) = K vec(m): block diagonal with transposed blocks."""
     n = len(a)
-    spec = a[0][0].spec
-    ram = a[0][0].ram
-    prec = mat_min_prec(a)
-    z = CinfElem.zero(spec, ram, prec)
-    out = [[z for _ in range(n * n)] for _ in range(n * n)]
+    out = [[zero] * (n * n) for _ in range(n * n)]
     for b in range(n):
         for i in range(n):
             for j in range(n):
@@ -204,42 +178,20 @@ def kron_right(a):
     return out
 
 
-# -- PolyT matrices ----------------------------------------------------------
+def split_blocks(m, n):
+    """Split a 2n x 2n matrix into four n x n blocks."""
+    tl = [row[:n] for row in m[:n]]
+    tr = [row[n:] for row in m[:n]]
+    bl = [row[:n] for row in m[n:]]
+    br = [row[n:] for row in m[n:]]
+    return tl, tr, bl, br
 
 
-def pm_from_cinf(a):
-    return [[PolyT.const(x) for x in r] for r in a]
-
-
-def pm_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def pm_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def pm_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+# -- PolyT matrices ---------------------------------------------------------
 
 
 def pm_twist(a, i):
     return [[x.twist(i) for x in r] for r in a]
-
-
-def pm_scale_t(a, f):
-    """Multiply every entry by a PolyT scalar f."""
-    return [[f * x for x in r] for r in a]
 
 
 def pm_min_valuation(a):
@@ -248,10 +200,6 @@ def pm_min_valuation(a):
         for x in r:
             v = min(v, x.min_valuation())
     return v
-
-
-def pm_is_zero(a):
-    return all(x.is_zero() for r in a for x in r)
 
 
 def pm_det(a):
@@ -269,29 +217,5 @@ def pm_det(a):
             term = -term
         acc = term if acc is None else acc + term
     if acc is None:
-        z = a[0][0]
-        return PolyT(z.spec)
+        return PolyT(a[0][0].spec)
     return acc
-
-
-def pm_eval(a, z):
-    return [[x.eval(z) for x in r] for r in a]
-
-
-def block_matrix(blocks):
-    """Assemble [[A, B], [C, D], ...] from equally sized square blocks."""
-    out = []
-    for brow in blocks:
-        rows = len(brow[0])
-        for i in range(rows):
-            out.append([x for blk in brow for x in blk[i]])
-    return out
-
-
-def split_blocks(m, n):
-    """Split a 2n x 2n matrix into four n x n blocks."""
-    tl = [row[:n] for row in m[:n]]
-    tr = [row[n:] for row in m[:n]]
-    bl = [row[:n] for row in m[n:]]
-    br = [row[n:] for row in m[n:]]
-    return tl, tr, bl, br

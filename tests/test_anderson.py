@@ -6,7 +6,7 @@ import pytest
 
 from tmotive.errors import NeighborhoodError, PrecisionError
 from tmotive.ffield import ambient_field
-from tmotive.cinf import CinfElem, c_inv, theta_ij, t_uniformizer
+from tmotive.cinf import CinfElem, PolyT, c_inv, theta_ij, t_uniformizer
 from tmotive.anderson import (exp_coeffs, exp_eval, exp_eval_scalar,
                               functional_residual, make_tmotive, tau_matrix)
 
@@ -121,14 +121,38 @@ def test_functional_residual_vanishes(F):
 
 
 def test_tau_matrix_blocks(F):
-    a = t_uniformizer(F, N, PU) ** 2
+    t = t_uniformizer(F, N, PU)
+    a = t ** 2
     motive = make_tmotive([[a]])
-    tm = tau_matrix(motive)
-    assert tm.R[0][0].is_zero()
-    assert tm.R[0][1].degree() == 0
-    assert tm.R[1][0].degree() == 1           # (T - theta) block
-    assert tm.R[1][0].coeffs[0].same_terms(-c_inv(t_uniformizer(F, N, PU)))
-    assert tm.R[1][1].coeffs[0].same_terms(-a)
+    R = tau_matrix(motive.A, motive.ram, motive.prec)
+    assert R[0][0].is_zero()
+    assert R[0][1].degree() == 0
+    assert R[1][0].degree() == 1           # (T - theta) block
+    assert R[1][0].coeffs[0].same_terms(-c_inv(t))
+    assert R[1][1].coeffs[0].same_terms(-a)
+    # n = 2, one zero and one nonzero off-diagonal entry:
+    # [[0, E], [(T - theta) E, -A]] entry by entry
+    zero = CinfElem.zero(F, N, PU * N)
+    A = [[t ** 2, zero], [t ** 3, t ** 4]]
+    motive = make_tmotive(A)
+    R = tau_matrix(motive.A, motive.ram, motive.prec)
+    n = 2
+    one = CinfElem.const(F, N, motive.prec, F.one)
+    for i in range(n):
+        for j in range(n):
+            assert R[i][j].is_zero()
+            if i == j:
+                assert R[i][n + j] == PolyT.const(one)
+                t_minus_theta = R[n + i][j]
+                assert t_minus_theta.degree() == 1
+                assert t_minus_theta.coeffs[1] == one
+                assert t_minus_theta.coeffs[0].same_terms(-c_inv(t))
+            else:
+                assert R[i][n + j].is_zero()
+                assert R[n + i][j].is_zero()
+            assert R[n + i][n + j] == (PolyT(F) if A[i][j].is_zero()
+                                       else PolyT.const(-A[i][j]))
+    assert R[n][n + 1].is_zero() and not R[n + 1][n].is_zero()
 
 
 def test_eval_below_certified_floor_raises(F, base):

@@ -6,8 +6,7 @@ import pytest
 
 from tmotive.errors import PrecisionError
 from tmotive.ffield import ambient_field
-from tmotive.cinf import (CinfElem, PolyT, c_arith, c_inv, c_root, poly_t_arith,
-                          poly_t_eval, poly_t_twist, q_twist, theta, theta_ij,
+from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
                           t_uniformizer)
 
 N, PU = 8, 200
@@ -52,7 +51,7 @@ def test_add_sub_and_zero(F):
         assert (x + z) == x
         assert (x - x).is_zero()
         y = rand_series(F, rng)
-        assert c_arith(x, y, "add") - y == x.truncate(min(x.prec, y.prec))
+        assert (x + y) - y == x.truncate(min(x.prec, y.prec))
 
 
 def test_mul_monomials_and_prec_shift(F):
@@ -178,13 +177,13 @@ def test_poly_t_operations(F):
     th = theta(F, N, PU)
     one = CinfElem.const(F, N, PU * N, F.one)
     tm = PolyT.t_minus(th)
-    assert poly_t_eval(tm, th).is_zero()
-    tw = poly_t_twist(tm, 1)
+    assert tm.eval(th).is_zero()
+    tw = tm.twist(1)
     assert tw.coeffs[0].same_terms(-q_twist(th, 1))
     assert tw.coeffs[1].same_terms(one)
-    prod = poly_t_arith(tm, PolyT(F, (th, one)), "mul")  # (T-th)(T+th)
+    prod = tm * PolyT(F, (th, one))  # (T-th)(T+th)
     assert prod.degree() == 2
     assert prod.coeffs[1].is_zero()
     assert prod.coeffs[0].same_terms(-(th * th))
-    s = poly_t_arith(tm, tm, "add")
+    s = tm + tm
     assert s.coeffs[0].same_terms(th.scale(F.scalar(-2)))

@@ -8,11 +8,11 @@ from tmotive.errors import GammaShapeError
 from tmotive.ffield import FFPoly, ambient_field, ffpoly_det
 from tmotive.cinf import CinfElem, PolyT, q_twist, t_uniformizer
 from tmotive.anderson import make_tmotive
-from tmotive.latticemap import (GammaElem, gamma_from_alpha, mobius, mu13,
-                                random_gamma)
-from tmotive.isomsolver import (VecOps, alpha, alpha_from_matrix,
-                                build_linear_system, gamma_reassembles,
-                                morphism_residual, solve_iso, theorem3_check)
+from tmotive.latticemap import (GammaElem, eval_poly_matrix, gamma_from_alpha,
+                                mobius, mu13, random_gamma)
+from tmotive.isomsolver import (alpha, alpha_from_matrix, build_linear_system,
+                                gamma_reassembles, morphism_residual, solve_iso,
+                                theorem3_check)
 from tmotive.linalg import (mat_min_prec, mat_mul, mat_solve, mat_sub,
                             vec_rowmajor, zeros)
 
@@ -94,20 +94,6 @@ def test_alpha_from_matrix_validates(F):
         alpha_from_matrix(F, [[one, one], [one, one]])
 
 
-def test_vec_ops_identities(F):
-    rng = random.Random(2)
-    ops = VecOps(2)
-    a = rand_small(F, rng, 2, lo=0, hi=4)
-    m = rand_small(F, rng, 2, lo=0, hi=4)
-    lhs = mat_mul(ops.left(a), [[x] for x in ops.vec(m)])
-    for got, want in zip(lhs, ops.vec(mat_mul(a, m))):
-        assert (got[0] - want).is_zero()
-    rhs = mat_mul(ops.right(a), [[x] for x in ops.vec(m)])
-    for got, want in zip(rhs, ops.vec(mat_mul(m, a))):
-        assert (got[0] - want).is_zero()
-    assert ops.unvec(ops.vec(m)) == m
-
-
 # -- the linear system ---------------------------------------------------------
 
 
@@ -176,7 +162,7 @@ def test_w1_inverse_application_matches_generic_solve(F):
     s_rhs = [rand_small(F, rng, n, lo=1, hi=4) for _ in range(k)]
     m_rhs = [rand_small(F, rng, n, lo=1, hi=4) for _ in range(k + 1)]
     B, S, V = sysm.apply_w1_inverse(s_rhs, m_rhs, ahi)
-    w1 = sysm.eval_w1(N, PU * N)
+    w1 = eval_poly_matrix(sysm.W1_sym, F, N, PU * N)
     rhs_vec = [[x] for m in s_rhs + m_rhs for x in vec_rowmajor(m)]
     sol = mat_solve(w1, rhs_vec)
     flat = [x for m in ([B] + S + V) for x in vec_rowmajor(m)]
@@ -193,8 +179,8 @@ def test_first_order_b_matches_w2(F):
     A = rand_small(F, rng, n)
     motive = make_tmotive(A)
     sol = solve_iso(motive, g, k=k)
-    w1 = sysm.eval_w1(N, PU * N)
-    w2 = sysm.eval_w2(N, PU * N)
+    w1 = eval_poly_matrix(sysm.W1_sym, F, N, PU * N)
+    w2 = eval_poly_matrix(sysm.W2_sym, F, N, PU * N)
     rhs = mat_mul(w2, [[x] for x in vec_rowmajor(A)])
     lin = mat_solve(w1, rhs)
     b_lin = lin[0][0]

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from tmotive.errors import SingularMatrixError
-from tmotive.ffield import ambient_field
-from tmotive.cinf import CinfElem, PolyT, theta, t_uniformizer
-from tmotive.linalg import (eye, kron_left, kron_right, mat_det, mat_eq, mat_inv,
-                            mat_mul, mat_same_terms, mat_solve, pm_det, pm_mul,
-                            unvec_rowmajor, vec_rowmajor, zeros)
+from tmotive.ffield import FFPoly, ambient_field
+from tmotive.cinf import CinfElem, PolyT, theta
+from tmotive.linalg import (kron_left, kron_right, mat_det, mat_inv, mat_mul,
+                            mat_solve, pm_det, unvec_rowmajor, vec_rowmajor)
 
 N, PU = 8, 120
 
@@ -53,8 +52,10 @@ def test_solve_matches_inverse(F):
     m = rand_mat(F, rng, 3)
     rhs = rand_mat(F, rng, 3)
     x = mat_solve(m, rhs)
-    assert mat_same_terms(mat_mul(m, x), [[e.truncate(x[0][0].prec) for e in r] for r in rhs]) or \
-        all((mat_mul(m, x)[i][j] - rhs[i][j]).is_zero() for i in range(3) for j in range(3))
+    mx = mat_mul(m, x)
+    assert all(mx[i][j].same_terms(rhs[i][j].truncate(x[0][0].prec))
+               for i in range(3) for j in range(3)) or \
+        all((mx[i][j] - rhs[i][j]).is_zero() for i in range(3) for j in range(3))
 
 
 def test_det_multiplicative(F):
@@ -74,22 +75,39 @@ def test_singular_raises(F):
         mat_inv([[one, one], [one, one]])
 
 
+def rand_ffpoly_mat(F, rng, n, deg=2):
+    return [[FFPoly(F, [F.el(rng.randrange(F.order)) for _ in range(rng.randrange(deg + 2))])
+             for _ in range(n)] for _ in range(n)]
+
+
 def test_kron_identities_brute_force(F):
     # the defining equations of the vectorization operators, on explicit
-    # small matrices
+    # small matrices: series entries of both valuation signs, then the
+    # small nonnegative valuations of the solver's unknowns (n = 2)
     rng = random.Random(3)
-    for n in (2, 3):
-        a = rand_mat(F, rng, n)
-        m = rand_mat(F, rng, n)
-        va = mat_mul(kron_left(a), [[x] for x in vec_rowmajor(m)])
+    for n, vmin, vmax in ((2, -2, 8), (3, -2, 8), (2, 0, 4)):
+        a = rand_mat(F, rng, n, vmin, vmax)
+        m = rand_mat(F, rng, n, vmin, vmax)
+        zero = CinfElem.zero(F, N, PU * N)
+        va = mat_mul(kron_left(a, zero), [[x] for x in vec_rowmajor(m)])
         direct = vec_rowmajor(mat_mul(a, m))
         for got, want in zip(va, direct):
             assert (got[0] - want).is_zero()
-        vb = mat_mul(kron_right(a), [[x] for x in vec_rowmajor(m)])
+        vb = mat_mul(kron_right(a, zero), [[x] for x in vec_rowmajor(m)])
         direct = vec_rowmajor(mat_mul(m, a))
         for got, want in zip(vb, direct):
             assert (got[0] - want).is_zero()
         assert unvec_rowmajor(vec_rowmajor(m), n) == m
+    # polynomials in theta over the field, the ring of the linear system:
+    # there both sides must agree exactly
+    for n in (2, 3):
+        a = rand_ffpoly_mat(F, rng, n)
+        m = rand_ffpoly_mat(F, rng, n)
+        vm = [[x] for x in vec_rowmajor(m)]
+        assert [r[0] for r in mat_mul(kron_left(a, FFPoly(F)), vm)] == \
+            vec_rowmajor(mat_mul(a, m))
+        assert [r[0] for r in mat_mul(kron_right(a, FFPoly(F)), vm)] == \
+            vec_rowmajor(mat_mul(m, a))
 
 
 def test_pm_det_2x2(F):
