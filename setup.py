@@ -1,4 +1,3 @@
-import numpy as np
 from setuptools import Extension, setup
 
 try:
@@ -8,6 +7,10 @@ except ImportError:
 
 ext_modules = []
 if cythonize is not None:
+    # numpy is needed only to compile the extension, so an isolated build
+    # without Cython never imports it
+    import numpy as np
+
     ext_modules = cythonize(
         [
             Extension(
@@ -24,4 +27,5 @@ if cythonize is not None:
 # to the numpy implementation at import time.
 setup(ext_modules=ext_modules)
 
-# build in place for development:  python setup.py build_ext --inplace
+# build in place for development (needs Cython and numpy installed):
+#   python setup.py build_ext --inplace

@@ -101,7 +101,8 @@ def series_mul(cnp.ndarray[long, ndim=1] e1, cnp.ndarray[long, ndim=1] c1,
     cdef cnp.ndarray[long, ndim=1] acc, lanes
     cdef cnp.ndarray[long, ndim=1] oe, oc
     cdef const long* lx
-    if window <= DENSE_WINDOW and lane_exp is not None and n1 < 16000:
+    # a 16-bit digit lane sums at most n1 products, each digit <= p - 1
+    if window <= DENSE_WINDOW and lane_exp is not None and (p - 1) * n1 <= LANE_MASK:
         lanes = lane_exp
         lx = <const long*> lanes.data
         acc = np.zeros(window, dtype=np.int64)

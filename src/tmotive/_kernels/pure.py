@@ -78,7 +78,8 @@ def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
         return _EMPTY.copy(), _EMPTY.copy()
     l1 = logt[c1]
     l2 = logt[c2]
-    if window <= _DENSE_WINDOW and lane_exp is not None and len(e1) < 16000:
+    # a 16-bit digit lane sums at most len(e1) products, each digit <= p - 1
+    if window <= _DENSE_WINDOW and lane_exp is not None and (p - 1) * len(e1) <= _LANE_MASK:
         acc = np.zeros(window, dtype=np.int64)
         for i in range(len(e1)):
             pos = e2 + (int(e1[i]) - base)

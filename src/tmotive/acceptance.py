@@ -16,10 +16,10 @@ from .cinf import CinfElem, PolyT, c_inv, theta_ij, t_uniformizer
 from .config import Config
 from .errors import GammaShapeError, NeighborhoodError
 from .ffield import FFPoly
-from .latticemap import (SiegelMatrix, carlitz_period, d10_series, lattice_of,
-                         lattices_equal, mobius, mu13, mu34, perturbed_root,
-                         random_gamma, siegel_of)
-from .isomsolver import alpha_from_matrix, morphism_residual, solve_iso, theorem3_check
+from .latticemap import (GammaElem, SiegelMatrix, carlitz_period, d10_series,
+                         lattice_of, lattices_equal, mobius, mu13, mu34,
+                         perturbed_root, random_gamma, siegel_of)
+from .isomsolver import morphism_residual, solve_iso, theorem3_check
 from .linalg import eye, mat_sub
 
 
@@ -243,8 +243,8 @@ def criterion_7(cfg, ns=(1, 2)):
             g = random_gamma(spec, n, k, rng)
             rep = theorem3_check(motive, g, k=k, slack=cfg.slack)
             sol = rep["solution"]
-            res_ok = all(v >= res_tol for v in sol.residuals.values())
-            lit_det = sol.det_w1_norm == sol.det_gamma ** n
+            res_ok = sol.residuals_ok(res_tol)
+            lit_det = sol.det_literal()
             good = (res_ok and rep["det_phi_unit"] and rep["det_consistency"]
                     and lit_det and rep["siegel_match"] and rep["lattices_equal"])
             ok = ok and good
@@ -332,7 +332,7 @@ def criterion_9(cfg):
     z = FFPoly(spec)
     bad = [[one, th], [z, one]]  # 2 x 2 without the block structure
     try:
-        alpha_from_matrix(spec, bad)
+        GammaElem.from_assembled(spec, bad)
     except GammaShapeError:
         rejected_shape = True
     # corrupt a solved isomorphism and expect finite residual valuations

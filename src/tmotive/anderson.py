@@ -113,22 +113,21 @@ def _tail_certified(est, target):
     return len(finite) < 2 or finite[-1] >= finite[-2]
 
 
-def exp_coeffs(motive, imax=None, z_floor=None, target_units=None):
+def exp_coeffs(motive, imax=None, z_floor=None):
     """Run the coefficient recursion up to a certified truncation order.
 
     With imax given, computes exactly that many steps.  Otherwise grows
     until three consecutive term-valuation estimates v(C_i) + q^i*z_floor
-    clear the target and increase monotonically, which certifies that the
-    dropped tail lies beyond the target precision for any evaluation
-    point of valuation >= z_floor.
+    clear the working precision of the motive and increase monotonically,
+    which certifies that the dropped tail lies beyond that precision for
+    any evaluation point of valuation >= z_floor.
     """
     spec, n = motive.spec, motive.n
     q = spec.q
     ram, prec = motive.ram, motive.prec
     if z_floor is None:
         z_floor = Fraction(-q * q, q * q - 1)  # the period's valuation
-    if target_units is None:
-        target_units = Fraction(prec, ram)
+    target_units = Fraction(prec, ram)
     prec_units = prec // ram
     C = [eye(spec, ram, prec, n)]
     prev = zeros(spec, ram, prec, n)  # C_{-1} = 0

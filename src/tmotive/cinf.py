@@ -199,7 +199,10 @@ class CinfElem:
         a, b = self._common(other)
         cap = min(a.prec + b.min_exp(), b.prec + a.min_exp())
         s = a.spec
-        # a 16-bit digit lane sums up to (p - 1) * min(len) products
+        # a 16-bit digit lane sums up to (p - 1) * min(len) products.  The
+        # kernels make the same check, but the tracked _speedups.c was
+        # generated from an older _speedups.pyx without it and cannot be
+        # regenerated without Cython, so the guard stays here too.
         lanes = s.lane_exp_np
         if (s.p - 1) * min(len(a.exps), len(b.exps)) > _LANE_MAX:
             lanes = None

@@ -169,9 +169,6 @@ def cmd_iso_solve(args):
     motive = make_tmotive(A, v_min=cfg.v_min)
     sol = solve_iso(motive, gamma, k=args.k)
     tol = Fraction(cfg.prec - cfg.slack)
-    n = motive.n
-    residuals_ok = all(v >= tol for v in sol.residuals.values())
-    det_consistency = sol.det_w1_norm * sol.det_gamma ** n == spec.one
     report = {
         "config": cfg.to_json(),
         "B": _matrix_to_json(sol.B),
@@ -182,9 +179,9 @@ def cmd_iso_solve(args):
         "det_gamma": sol.det_gamma.to_json(),
         "steps": sol.steps,
         "flags": {
-            "residuals_ok": residuals_ok,
+            "residuals_ok": sol.residuals_ok(tol),
             "det_phi_unit": sol.det_phi_is_unit(tol),
-            "det_consistency": det_consistency,
+            "det_consistency": sol.det_consistent(),
         },
     }
     _emit(report, args)

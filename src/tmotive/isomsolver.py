@@ -24,13 +24,15 @@ telescopes the V-band away, so W1^(-1) applications cost one n x n
 series inversion.  Every Picard update must strictly raise its
 valuation, which is the runtime form of 'A small enough'.
 
-Group notes.  alpha maps (G, w^2 H; H, G) to G(T) + w H(T), an
-isomorphism onto GL_n over F_{q^2}[T].  The ansatz is anchored at the
-inverse transpose of the alpha image (again polynomial: the determinant
-is a constant unit).  That choice is forced by two fixed conventions
-downstream: lattice bases are rows (so the Siegel matrix responds to
-the transpose of the defining matrix at first order) and the group acts
-by Z -> (PZ + Q)(RZ + S)^(-1).  With it, the solved B satisfies
+Group notes.  The group elements and their alpha map live on GammaElem
+in the lattice layer: GammaElem.alpha_poly maps (G, w^2 H; H, G) to
+G(T) + w H(T), an isomorphism onto GL_n over F_{q^2}[T], and
+GammaElem.from_assembled validates a raw block matrix.  The ansatz is
+anchored at the inverse transpose of the alpha image (again polynomial:
+the determinant is a constant unit).  That choice is forced by two
+fixed conventions downstream: lattice bases are rows (so the Siegel
+matrix responds to the transpose of the defining matrix at first order)
+and the group acts by Z -> (PZ + Q)(RZ + S)^(-1).  With it, the solved B satisfies
 action(gamma, Z(B)) = Z(A) for the Siegel matrices of the lattice
 layer, for every n.  The determinant of W1 is then (up to sign) the
 n-th power of the constant det alpha(gamma)^(-1); its norm down to F_q
@@ -43,102 +45,13 @@ from math import inf
 from .anderson import TMotive, make_tmotive, tau_matrix
 from .cinf import CinfElem, PolyT, q_twist, theta
 from .errors import GammaShapeError, NonContractionError, SingularMatrixError
-from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv, omega_split
-from .latticemap import GammaElem, lattice_of, lattices_equal, mobius, siegel_of
+from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv
+from .latticemap import lattice_of, lattices_equal, mobius, siegel_of
 from .linalg import (kron_left, kron_right, mat_add, mat_inv, mat_min_prec,
                      mat_min_valuation, mat_mul, mat_neg, mat_sub, mat_twist,
                      pm_det, pm_min_valuation, pm_twist, split_blocks, zeros)
 
 _MAX_PICARD_STEPS = 400
-
-
-# ---------------------------------------------------------------------------
-# alpha
-
-
-class AlphaImage:
-    """Coefficient matrices U_0..U_k over F_{q^2} of G(T) + omega H(T)."""
-
-    __slots__ = ("spec", "n", "U")
-
-    def __init__(self, spec, n, U):
-        self.spec = spec
-        self.n = n
-        self.U = U
-
-    def degree(self):
-        return len(self.U) - 1
-
-    def matrix_poly(self):
-        spec, n = self.spec, self.n
-        return [[FFPoly(spec, [self.U[d][i][j] for d in range(len(self.U))])
-                 for j in range(n)] for i in range(n)]
-
-    def det_constant(self):
-        d = ffpoly_det(self.matrix_poly())
-        if d.is_zero() or not d.is_constant():
-            raise GammaShapeError("alpha image determinant is not a nonzero constant")
-        return d.constant()
-
-    def frobenius(self, i=1):
-        return AlphaImage(self.spec, self.n,
-                          [[[c.frobenius(i) for c in row] for row in Ud]
-                           for Ud in self.U])
-
-
-def alpha(gamma):
-    """Image of a stabilizer element: U_d = G_d + omega H_d entrywise."""
-    if not gamma.in_group():
-        raise GammaShapeError("determinant is not a constant unit: not a group element")
-    spec, n = gamma.spec, gamma.n
-    pols = gamma.alpha_poly()
-    deg = max(p.degree() for row in pols for p in row)
-    deg = max(deg, 0)
-    U = [[[pols[i][j][d] for j in range(n)] for i in range(n)]
-         for d in range(deg + 1)]
-    return AlphaImage(spec, n, U)
-
-
-def alpha_from_matrix(spec, raw):
-    """Validate the block shape of a raw 2n x 2n polynomial matrix, then map.
-
-    Rejects anything whose diagonal blocks differ, whose off-diagonal
-    blocks are not omega^2-proportional, or whose determinant is not a
-    constant unit of the base field.
-    """
-    m = len(raw)
-    if m % 2 != 0 or any(len(r) != m for r in raw):
-        raise GammaShapeError("matrix must be square of even size")
-    n = m // 2
-    w2 = spec.omega * spec.omega
-    G = [[raw[i][j] for j in range(n)] for i in range(n)]
-    G2 = [[raw[n + i][n + j] for j in range(n)] for i in range(n)]
-    H = [[raw[n + i][j] for j in range(n)] for i in range(n)]
-    W = [[raw[i][n + j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if G[i][j] != G2[i][j]:
-                raise GammaShapeError("diagonal blocks differ")
-            if W[i][j] != H[i][j] * w2:
-                raise GammaShapeError("upper right block is not omega^2 times lower left")
-    gamma = GammaElem(G, H)
-    return alpha(gamma)
-
-
-def gamma_reassembles(gamma, image):
-    """Invariant: splitting the alpha image back recovers (G, H) exactly."""
-    spec, n = gamma.spec, gamma.n
-    pols = image.matrix_poly()
-    for i in range(n):
-        for j in range(n):
-            ga, gb = [], []
-            for c in pols[i][j].coeffs:
-                a, b = omega_split(c)
-                ga.append(a)
-                gb.append(b)
-            if FFPoly(spec, ga) != gamma.G[i][j] or FFPoly(spec, gb) != gamma.H[i][j]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +152,20 @@ def build_linear_system(gamma, k=None):
     The W1 determinant must be a nonzero constant; a singular W1
     contradicts the group structure and raises hard.
     """
-    img = alpha(gamma)
+    if not gamma.in_group():
+        raise GammaShapeError("determinant is not a constant unit: not a group element")
     spec, n = gamma.spec, gamma.n
     # anchor: inverse transpose of the alpha image, polynomial because the
     # determinant is a constant unit
-    pols = img.matrix_poly()
+    pols = gamma.alpha_poly()
     anchor = ffpoly_unit_inv([[pols[j][i] for j in range(n)] for i in range(n)])
-    deg_anchor = max(max(p.degree() for p in row) for row in anchor)
-    deg_anchor = max(deg_anchor, 0)
+    deg_alpha = max(0, max(p.degree() for row in pols for p in row))
+    deg_anchor = max(0, max(p.degree() for row in anchor for p in row))
     if k is None:
         k = deg_anchor
-    if img.degree() > k or deg_anchor > k:
+    if deg_alpha > k or deg_anchor > k:
         raise GammaShapeError(
-            f"gamma needs ansatz degree {max(img.degree(), deg_anchor)}, got {k}")
+            f"gamma needs ansatz degree {max(deg_alpha, deg_anchor)}, got {k}")
     U_hat = [[[anchor[i][j][d] for j in range(n)] for i in range(n)]
              for d in range(deg_anchor + 1)]
     U_hat += [[[spec.zero] * n for _ in range(n)] for _ in range(k - deg_anchor)]
@@ -310,7 +224,11 @@ class IsoAnsatz:
 
 
 class IsoSolution:
-    """Solved isomorphism: ansatz, assembled Phi, residual report, determinants."""
+    """Solved isomorphism: ansatz, assembled Phi, residual report, determinants.
+
+    The verdicts on a solution live here; each caller passes only its own
+    tolerance.
+    """
 
     __slots__ = ("ansatz", "Phi", "residuals", "det_w1", "det_w1_norm",
                  "det_gamma", "det_phi", "steps")
@@ -330,6 +248,23 @@ class IsoSolution:
     def B(self):
         return self.ansatz.B
 
+    def residuals_ok(self, tol_units):
+        """Every block relation and the full identity hold to tol_units."""
+        return all(v >= tol_units for v in self.residuals.values())
+
+    def _det_gamma_n(self):
+        return self.det_gamma ** len(self.B)
+
+    def det_consistent(self):
+        """N(det W1) det(gamma)^n = 1: the norm of det W1 is det(gamma)^(-n)
+        under the inverse-transpose anchor."""
+        return self.det_w1_norm * self._det_gamma_n() == self.det_gamma.spec.one
+
+    def det_literal(self):
+        """The literal form N(det W1) = det(gamma)^n; it agrees with
+        det_consistent exactly when det(gamma)^(2n) = 1."""
+        return self.det_w1_norm == self._det_gamma_n()
+
     def det_phi_is_unit(self, tol_units):
         """Degree zero in T to precision, with an invertible constant term."""
         d = self.det_phi
@@ -341,20 +276,13 @@ class IsoSolution:
         return True
 
 
-def _phi_blocks(system, ansatz, ram, prec):
+def _phi_blocks(system, ansatz, u_ser, ram, prec):
     """Assemble the four blocks from the ansatz; lower row by the two
     defining relations, exactly."""
     spec, n, k = system.spec, system.n, system.k
     th = theta(spec, ram, prec // ram)
-
-    def coeff_mat(d):
-        base = [[CinfElem.monomial(spec, ram, prec, 0, system.U_hat[d][i][j])
-                 for j in range(n)] for i in range(n)] if d <= system.k else None
-        if d < k:
-            return mat_add(base, ansatz.S[d])
-        return base
-
-    phi11 = [[PolyT(spec, [coeff_mat(d)[i][j] for d in range(k + 1)])
+    coeff = [mat_add(u, s) for u, s in zip(u_ser, ansatz.S)] + [u_ser[k]]
+    phi11 = [[PolyT(spec, [coeff[d][i][j] for d in range(k + 1)])
               for j in range(n)] for i in range(n)]
     phi12 = [[PolyT(spec, [ansatz.V[d][i][j] for d in range(k)])
               for j in range(n)] for i in range(n)]
@@ -367,17 +295,11 @@ def _phi_blocks(system, ansatz, ram, prec):
     return phi11, phi12, phi21, phi22
 
 
-def _equations(system, motive, ansatz):
+def _equations(system, motive, ansatz, u_ser):
     """Full residuals of the coupled equations at the current iterate."""
-    spec, n, k = system.spec, system.n, system.k
+    spec, k = system.spec, system.k
     A = motive.A
-    ram, prec = motive.ram, motive.prec
     B = ansatz.B
-
-    def umat(d):
-        return [[CinfElem.monomial(spec, ram, prec, 0, system.U_hat[d][i][j])
-                 for j in range(n)] for i in range(n)]
-
     s_eqs = []
     for i in range(k):
         Si = ansatz.S[i]
@@ -387,9 +309,8 @@ def _equations(system, motive, ansatz):
         e = mat_add(e, mat_mul(mat_twist(Vi, 2), mat_twist(B, 1)))
         s_eqs.append(e)
     m_eqs = []
-    zero = zeros(spec, ram, prec, n)
     for i in range(k + 1):
-        P = mat_add(umat(i), ansatz.S[i]) if i < k else umat(i)
+        P = mat_add(u_ser[i], ansatz.S[i]) if i < k else u_ser[i]
         e = mat_mul(P, B)
         e = mat_sub(e, mat_mul(A, mat_twist(P, 1)))
         Vi = ansatz.V[i] if i < k else None
@@ -423,6 +344,9 @@ def solve_iso(motive, gamma, k=None):
     prec_units = prec // ram
     alpha_hat = system.alpha_hat_eval(ram, prec_units)
     alpha_hat_inv = mat_inv(alpha_hat)
+    # the anchor's constant matrices Uhat_d as series, built once per solve
+    u_ser = [[[CinfElem.monomial(spec, ram, prec, 0, u) for u in row] for row in Ud]
+             for Ud in system.U_hat]
     z = zeros(spec, ram, prec, n)
     ansatz = IsoAnsatz([list(r) for r in z],
                        [[list(r) for r in z] for _ in range(k)],
@@ -430,7 +354,7 @@ def solve_iso(motive, gamma, k=None):
     v_prev = -inf
     steps = 0
     for _ in range(_MAX_PICARD_STEPS):
-        s_eqs, m_eqs = _equations(system, motive, ansatz)
+        s_eqs, m_eqs = _equations(system, motive, ansatz, u_ser)
         if _min_val(s_eqs + m_eqs) == inf:
             break
         dB, dS, dV = system.apply_w1_inverse(
@@ -447,7 +371,7 @@ def solve_iso(motive, gamma, k=None):
         ansatz = IsoAnsatz(mat_add(ansatz.B, dB),
                            [mat_add(s, d) for s, d in zip(ansatz.S, dS)],
                            [mat_add(v, d) for v, d in zip(ansatz.V, dV)])
-    phi11, phi12, phi21, phi22 = _phi_blocks(system, ansatz, ram, prec)
+    phi11, phi12, phi21, phi22 = _phi_blocks(system, ansatz, u_ser, ram, prec)
     Phi = [r1 + r2 for r1, r2 in zip(phi11, phi12)] + \
           [r1 + r2 for r1, r2 in zip(phi21, phi22)]
     resid = morphism_residual(motive, ansatz.B, Phi)
@@ -502,7 +426,7 @@ def morphism_residual(motive_a, B, Phi):
 # end-to-end verification
 
 
-def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
+def theorem3_check(motive, gamma, k=None, slack=10):
     """Solve for B, then confront the two Siegel matrices and lattices.
 
     Checks, at tolerance prec - 2*slack: action(gamma, Z(B)) = Z(A); the
@@ -512,9 +436,7 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     both Siegel matrices are the ones their lattice checks formed.
     """
     sol = solve_iso(motive, gamma, k=k)
-    spec, n = motive.spec, motive.n
-    ram, prec = motive.ram, motive.prec
-    prec_units = prec // ram
+    prec_units = motive.prec // motive.ram
     tol = Fraction(prec_units - 2 * slack)
     motive_b = make_tmotive(sol.B, v_min=min(1, motive.v_min))
     lat_a = lattice_of(motive)
@@ -523,12 +445,9 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
     z_b = siegel_of(lat_b)
     img = mobius(gamma, z_b)
     siegel_gap = mat_min_valuation(mat_sub(img.Z, z_a.Z))
-    cap = deg_cap if deg_cap is not None else 2 * gamma.k + 4
-    lat_ok, cob = lattices_equal(lat_a, lat_b, deg_cap=cap, slack_units=slack)
+    lat_ok, cob = lattices_equal(lat_a, lat_b, deg_cap=2 * gamma.k + 4,
+                                 slack_units=slack)
     res_tol = Fraction(prec_units - slack)
-    res_ok = all(v >= res_tol for v in sol.residuals.values())
-    # N(det W1) = det(gamma)^(-n) under the inverse-transpose anchor
-    det_ok = sol.det_w1_norm * sol.det_gamma ** n == spec.one
     return {
         "B": sol.B,
         "solution": sol,
@@ -537,8 +456,8 @@ def theorem3_check(motive, gamma, k=None, slack=10, deg_cap=None):
         "lattices_equal": lat_ok,
         "change_of_basis": cob,
         "residuals": sol.residuals,
-        "residuals_ok": res_ok,
+        "residuals_ok": sol.residuals_ok(res_tol),
         "det_phi_unit": sol.det_phi_is_unit(res_tol),
-        "det_consistency": det_ok,
+        "det_consistency": sol.det_consistent(),
         "steps": sol.steps,
     }

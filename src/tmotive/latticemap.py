@@ -67,8 +67,7 @@ def carlitz_period(spec, ram=None, prec_units=200):
     if key in _PERIOD_CACHE:
         return _PERIOD_CACHE[key]
     base = make_tmotive([[CinfElem.zero(spec, ram, prec_units * ram)]])
-    coeffs = exp_coeffs(base, z_floor=Fraction(-q * q, q * q - 1),
-                        target_units=Fraction(prec_units))
+    coeffs = exp_coeffs(base, z_floor=Fraction(-q * q, q * q - 1))
     c2 = coeffs.C[2][0][0]
     v_root = newton_polygon_root_valuation([(1, 0), (q * q, c2.valuation())])
     if v_root != Fraction(-q * q, q * q - 1):
@@ -97,11 +96,12 @@ def _fixed_point_root(coeffs, z):
     raise NonContractionError("fixed point did not settle within the step cap")
 
 
-def perturbed_root(motive, anchor, coeffs=None):
-    """The unique root of the exponential near the anchor vector."""
-    if coeffs is None:
-        q = motive.spec.q
-        coeffs = exp_coeffs(motive, z_floor=Fraction(-q * q, q * q - 1))
+def perturbed_root(motive, anchor, coeffs):
+    """The unique root of the exponential near the anchor vector.
+
+    coeffs are exp_coeffs of the motive; callers compute them once and
+    share them between all the roots they need.
+    """
     return _fixed_point_root(coeffs, list(anchor))
 
 
@@ -188,16 +188,14 @@ class SiegelMatrix:
         return mat_min_prec(self.Z)
 
 
-def lattice_of(motive, coeffs=None, y0=None):
+def lattice_of(motive, coeffs=None):
     """Rows are the perturbed roots at the standard anchors, scaled by 1/y0.
 
     At the base point this is exactly (E_n; omega E_n).
     """
     spec, n = motive.spec, motive.n
     ram = motive.ram
-    prec_units = motive.prec // ram
-    if y0 is None:
-        y0 = carlitz_period(spec, ram, prec_units)
+    y0 = carlitz_period(spec, ram, motive.prec // ram)
     if coeffs is None:
         q = spec.q
         coeffs = exp_coeffs(motive, z_floor=Fraction(-q * q, q * q - 1))
@@ -231,16 +229,16 @@ def mu34(siegel):
     return Lattice(eye(spec, ram, prec, len(Z)) + [list(r) for r in Z])
 
 
-def mu13(motive, coeffs=None, y0=None):
+def mu13(motive, coeffs=None):
     """Defining matrix to Siegel matrix, through the lattice."""
-    return siegel_of(lattice_of(motive, coeffs=coeffs, y0=y0))
+    return siegel_of(lattice_of(motive, coeffs=coeffs))
 
 
 # ---------------------------------------------------------------------------
 # the slope data of the first-order law
 
 
-def d10_series(spec, ram=None, prec_units=200, terms=None, y0=None):
+def d10_series(spec, ram=None, prec_units=200):
     """Partial sums of the two root-slope series, with certified tails.
 
     The j-th term of the unprimed series is y0^(q^(2j+1)) divided by the
@@ -251,8 +249,7 @@ def d10_series(spec, ram=None, prec_units=200, terms=None, y0=None):
     """
     q = spec.q
     ram = ram or q * q - 1
-    if y0 is None:
-        y0 = carlitz_period(spec, ram, prec_units)
+    y0 = carlitz_period(spec, ram, prec_units)
     w = spec.omega
     target = Fraction(prec_units)
     sums = []
@@ -270,15 +267,8 @@ def d10_series(spec, ram=None, prec_units=200, terms=None, y0=None):
             term = num * c_inv(den)
             acc = term if acc is None else acc + term
             vals.append(term.valuation())
-            done = len(vals) >= 2 and vals[-1] >= target and vals[-1] > vals[-2]
             j += 1
-            if terms is not None and j >= terms:
-                if not done:
-                    raise PrecisionError(
-                        f"slope series tail not certified at {terms} terms "
-                        f"(last valuation {vals[-1]})")
-                break
-            if terms is None and done:
+            if len(vals) >= 2 and vals[-1] >= target and vals[-1] > vals[-2]:
                 break
             if j > 24:
                 raise PrecisionError("slope series did not certify its tail")
@@ -337,6 +327,31 @@ class GammaElem:
                for row_g, row_h in zip(self.G, self.H)]
         bot = [row_h + row_g for row_g, row_h in zip(self.G, self.H)]
         return top + bot
+
+    @classmethod
+    def from_assembled(cls, spec, raw):
+        """Inverse of assembled(): validate a raw 2n x 2n polynomial matrix.
+
+        Rejects anything whose diagonal blocks differ, whose off-diagonal
+        blocks are not omega^2-proportional, or whose determinant is not a
+        constant unit of the base field.
+        """
+        m = len(raw)
+        if m % 2 != 0 or any(len(r) != m for r in raw):
+            raise GammaShapeError("matrix must be square of even size")
+        n = m // 2
+        w2 = spec.omega * spec.omega
+        G, W, H, G2 = split_blocks(raw, n)
+        for i in range(n):
+            for j in range(n):
+                if G[i][j] != G2[i][j]:
+                    raise GammaShapeError("diagonal blocks differ")
+                if W[i][j] != H[i][j] * w2:
+                    raise GammaShapeError("upper right block is not omega^2 times lower left")
+        gamma = cls(G, H)
+        if not gamma.in_group():
+            raise GammaShapeError("determinant is not a constant unit: not a group element")
+        return gamma
 
     def det(self):
         return ffpoly_det(self.assembled())

@@ -19,9 +19,8 @@ from .cinf import CinfElem, PolyT, c_inv, q_twist
 from .errors import SingularMatrixError
 
 
-def zeros(spec, ram, prec, rows, cols=None):
-    cols = rows if cols is None else cols
-    return [[CinfElem.zero(spec, ram, prec) for _ in range(cols)] for _ in range(rows)]
+def zeros(spec, ram, prec, n):
+    return [[CinfElem.zero(spec, ram, prec) for _ in range(n)] for _ in range(n)]
 
 
 def eye(spec, ram, prec, n, scale=None):
@@ -133,6 +132,8 @@ def mat_det(a):
             sign = -sign
         pv = m[col][col]
         det = pv if det is None else det * pv
+        if col == n - 1:
+            break  # no row left to eliminate, so no inverse needed
         inv = c_inv(pv)
         for r in range(col + 1, n):
             if m[r][col].is_zero():

@@ -10,8 +10,7 @@ from tmotive.cinf import CinfElem, PolyT, q_twist, t_uniformizer
 from tmotive.anderson import make_tmotive
 from tmotive.latticemap import (GammaElem, eval_poly_matrix, gamma_from_alpha,
                                 mobius, mu13, random_gamma)
-from tmotive.isomsolver import (alpha, alpha_from_matrix, build_linear_system,
-                                gamma_reassembles, morphism_residual, solve_iso,
+from tmotive.isomsolver import (build_linear_system, morphism_residual, solve_iso,
                                 theorem3_check)
 from tmotive.linalg import (mat_min_prec, mat_mul, mat_solve, mat_sub,
                             vec_rowmajor, zeros)
@@ -45,14 +44,14 @@ def rand_small(F, rng, n, lo=3, hi=6):
 
 
 def test_alpha_identity(F):
-    img = alpha(GammaElem.identity(F, 2))
-    assert img.degree() == 0
-    assert img.U[0][0][0] == F.one and img.U[0][0][1].is_zero()
+    pols = GammaElem.identity(F, 2).alpha_poly()
+    assert max(p.degree() for row in pols for p in row) == 0
+    assert pols[0][0][0] == F.one and pols[0][1][0].is_zero()
 
 
 def test_alpha_of_pure_h_block(F):
     g = GammaElem([[FFPoly(F)]], [[FFPoly.const(F.one)]])
-    assert alpha(g).U[0][0][0] == F.omega
+    assert g.alpha_poly()[0][0][0] == F.omega
 
 
 def test_alpha_homomorphism_random(F):
@@ -61,9 +60,9 @@ def test_alpha_homomorphism_random(F):
         for _ in range(6):
             g1 = random_gamma(F, n, 1, rng)
             g2 = random_gamma(F, n, 1, rng)
-            a1 = alpha(g1).matrix_poly()
-            a2 = alpha(g2).matrix_poly()
-            a12 = alpha(g1.compose(g2)).matrix_poly()
+            a1 = g1.alpha_poly()
+            a2 = g2.alpha_poly()
+            a12 = g1.compose(g2).alpha_poly()
             for i in range(n):
                 for j in range(n):
                     acc = None
@@ -77,21 +76,26 @@ def test_alpha_reassembly_invariant(F):
     rng = random.Random(1)
     for n in (1, 2):
         g = random_gamma(F, n, 2, rng)
-        assert gamma_reassembles(g, alpha(g))
+        back = gamma_from_alpha(F, g.alpha_poly(), k=g.k)
+        assert back.G == g.G and back.H == g.H
 
 
 def test_alpha_from_matrix_validates(F):
-    g = GammaElem.identity(F, 1)
-    img = alpha_from_matrix(F, g.assembled())
-    assert img.U[0][0][0] == F.one
+    rng = random.Random(2)
+    for g in (GammaElem.identity(F, 1), random_gamma(F, 2, 1, rng)):
+        back = GammaElem.from_assembled(F, g.assembled())
+        assert back.G == g.G and back.H == g.H
     one, z, th = FFPoly.const(F.one), FFPoly(F), FFPoly.theta(F)
     with pytest.raises(GammaShapeError):
-        alpha_from_matrix(F, [[one, th], [z, one]])       # off-shape blocks
-    w2 = F.omega * F.omega
+        GammaElem.from_assembled(F, [[one, th], [z, one]])       # off-shape blocks
     with pytest.raises(GammaShapeError):
-        # right shape but zero determinant: G = H = identity gives
-        # det (G^2 - w^2 H^2) = (1 - w^2)^... nonzero; use G = H and w2H = G
-        alpha_from_matrix(F, [[one, one], [one, one]])
+        # the upper right block is not omega^2 times the lower left
+        GammaElem.from_assembled(F, [[one, one], [one, one]])
+    with pytest.raises(GammaShapeError):
+        # block-shaped and invertible, but det = theta^2 is not a constant
+        GammaElem.from_assembled(F, [[th, z], [z, th]])
+    with pytest.raises(GammaShapeError):
+        GammaElem.from_assembled(F, [[one, z, z]])                # not square
 
 
 # -- the linear system ---------------------------------------------------------
@@ -224,7 +228,10 @@ def test_solver_residuals_and_units(F):
         g = random_gamma(F, n, k, rng)
         sol = solve_iso(make_tmotive(A), g, k=k)
         assert all(v >= tol for v in sol.residuals.values())
+        assert sol.residuals_ok(tol)
         assert sol.det_phi_is_unit(tol)
+        # q = 3: det(gamma) = +-1, so the checked and the literal identity agree
+        assert sol.det_consistent() and sol.det_literal()
 
 
 def test_nonzero_ansatz_blocks_for_degree_one(F):

@@ -79,11 +79,17 @@ def test_lane_guard_depends_on_p():
     x = CinfElem(F7, 1, 3 * n, e, np.ones(n, dtype=np.int64))
     y = CinfElem(F7, 1, 3 * n, e, np.full(n, F7.order - 1, dtype=np.int64))
     prod = x * y
-    no_lanes = pure.series_mul(x.exps, x.coeffs, y.exps, y.coeffs, F7.log_np,
-                               F7.exp_np, F7.zech_np, None, F7.order - 1,
+
+    def kernel(lanes):
+        return pure.series_mul(x.exps, x.coeffs, y.exps, y.coeffs, F7.log_np,
+                               F7.exp_np, F7.zech_np, lanes, F7.order - 1,
                                F7.p, F7.D, 3 * n)
-    assert np.array_equal(prod.exps, no_lanes[0])
-    assert np.array_equal(prod.coeffs, no_lanes[1])
+
+    no_lanes = kernel(None)
+    # the library product, and a direct kernel call offered the lane table
+    for exps, coeffs in ((prod.exps, prod.coeffs), kernel(F7.lane_exp_np)):
+        assert np.array_equal(exps, no_lanes[0])
+        assert np.array_equal(coeffs, no_lanes[1])
 
 
 def test_sparse_tail_path(F):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tmotive import linalg
 from tmotive.errors import SingularMatrixError
 from tmotive.ffield import FFPoly, ambient_field
 from tmotive.cinf import CinfElem, PolyT, theta
@@ -66,6 +67,20 @@ def test_det_multiplicative(F):
         lhs = mat_det(mat_mul(a, b))
         rhs = mat_det(a) * mat_det(b)
         assert (lhs - rhs).is_zero()
+
+
+def test_det_inverts_only_pivots_with_rows_below(F, monkeypatch):
+    # the last pivot has no row left to eliminate, so an n x n determinant
+    # without a zero pivot inverts n - 1 pivots
+    calls = []
+    real = linalg.c_inv
+    monkeypatch.setattr(linalg, "c_inv", lambda x: calls.append(x) or real(x))
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        m = rand_mat(F, rng, n)
+        calls.clear()
+        assert not mat_det(m).is_zero()
+        assert len(calls) == n - 1
 
 
 def test_singular_raises(F):
