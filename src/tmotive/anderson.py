@@ -159,13 +159,7 @@ def _vec_twist(z, i):
 
 
 def _mat_vec(m, v):
-    out = []
-    for row in m:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return out
+    return [r[0] for r in mat_mul(m, [[x] for x in v])]
 
 
 def exp_eval(coeffs, z):

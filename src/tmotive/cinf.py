@@ -26,7 +26,7 @@ from math import gcd, inf
 import numpy as np
 
 from . import _kernels
-from .errors import GammaShapeError, PrecisionError
+from .errors import GammaShapeError, NonContractionError, PrecisionError
 from .ffield import FFElem, find_root_in_field
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -34,6 +34,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # clamp for precision numerators; twisting multiplies P by q^i and the
 # extra headroom beyond this is never observable at desk scale
 _PREC_CAP = 1 << 44
+_INT64_MAX = (1 << 63) - 1
 
 # largest digit sum a 16-bit lane of the dense product kernels can hold
 _LANE_MAX = 0xFFFF
@@ -313,24 +314,59 @@ def theta_ij(spec, ram, prec_units, i, j):
 # operations
 
 
-def c_inv(x):
-    """Series inverse by leading-monomial peel and Newton doubling.
+def _peel(x):
+    """x = lead t^(e0/N) (1 + u) with v(u) > 0, as (e0, lead, 1 + u);
+    1 + u keeps the relative precision P - e0 of x."""
+    e0, lead = x.leading()
+    return e0, lead, x.shift(-e0).scale(lead.inv())
 
-    x = c t^(e0/N) (1 + u) with v(u) > 0; the unit part is inverted by
-    y -> y (2 - (1+u) y), doubling correct digits each step.
+
+def _newton_inv_root(unit, m):
+    """unit^(-1/m) for a unit 1 + u with v(u) > 0 and p not dividing m.
+
+    Newton's iteration y -> y ((m + 1) - unit y^m) / m from y = 1
+    (Brent-Kung 1978), every step at the unit's full precision rel:
+    v(1 - unit y^m) at least doubles per step, so bitlen(rel - 1) + 1
+    steps settle every digit below rel.
+    """
+    spec, rel = unit.spec, unit.prec
+    top = CinfElem.const(spec, unit.ram, rel, spec.scalar(m + 1))
+    m_inv = spec.scalar(m).inv()
+    y = CinfElem.const(spec, unit.ram, rel, spec.one)
+    for _ in range(max(1, (rel - 1).bit_length() + 1)):
+        y = (y * (top - unit * y ** m)).scale(m_inv).truncate(rel)
+    return y
+
+
+def contract(x, update, apply, cap):
+    """Refine x -> apply(x, delta) until update(x) = (delta, v) has v = +inf.
+
+    Each valuation v must strictly exceed the one before, certifying that
+    the map contracts.  Returns x and the number of updates applied; raises
+    NonContractionError when v fails to rise or cap updates do not settle.
+    """
+    v_prev = -inf
+    for steps in range(cap):
+        delta, v = update(x)
+        if v == inf:
+            return x, steps
+        if v <= v_prev:
+            raise NonContractionError(
+                f"update valuation stalled at step {steps}: {v_prev} -> {v}")
+        v_prev = v
+        x = apply(x, delta)
+    raise NonContractionError(f"no convergence within the step cap of {cap}")
+
+
+def c_inv(x):
+    """Series inverse: peel the leading monomial, then invert the unit by
+    the shared Newton iteration at m = 1, y -> y (2 - unit y), in
+    bitlen(rel - 1) + 1 full-precision steps, rel the relative precision.
     """
     if x.is_zero():
         raise PrecisionError("inverse of an element that is zero to precision")
-    e0, lead = x.leading()
-    rel = x.prec - e0  # relative precision of x, preserved by inversion
-    unit = x.shift(-e0).scale(lead.inv()).truncate(rel)  # 1 + u
-    spec = x.spec
-    two = CinfElem.const(spec, x.ram, rel, spec.scalar(2))
-    y = CinfElem.const(spec, x.ram, rel, spec.one)
-    # v(1 - unit*y) doubles per step; rel bounds the needed digit count
-    steps = max(1, (rel - 1).bit_length() + 1)
-    for _ in range(steps):
-        y = (y * (two - unit * y)).truncate(rel)
+    e0, lead, unit = _peel(x)
+    y = _newton_inv_root(unit, 1)
     return y.scale(lead.inv()).shift(-e0).truncate(x.prec - 2 * e0)
 
 
@@ -339,29 +375,34 @@ def q_twist(x, i):
 
     Negative i lifts the ramification by q^|i| so exponent division stays
     integral; the coefficient inverse twist always exists in the ambient
-    field.  Precision multiplies by q^i.
+    field.  Precision multiplies by q^i, up to the clamp _PREC_CAP, and
+    terms at or beyond the clamped precision are dropped.  Raises
+    PrecisionError when a scaled exponent does not fit in int64.
     """
     if i == 0:
         return x
     spec = x.spec
+    exps, coeffs = x.exps, x.coeffs
     if i > 0:
         f = spec.q ** i
         ram = x.ram
-        exps = x.exps * f
+        if len(exps) and max(-int(exps[0]), int(exps[-1])) > _INT64_MAX // f:
+            raise PrecisionError(f"exponent overflow in the twist by q^{i}")
+        exps = exps * f
         prec = x.prec * f
+        if prec > _PREC_CAP:
+            prec = _PREC_CAP
+            cut = np.searchsorted(exps, prec)
+            exps, coeffs = exps[:cut], coeffs[:cut]
     else:
         f = spec.q ** (-i)
         ram = x.ram * f
-        exps = x.exps.copy()
         prec = x.prec
         if ram > (1 << 30):
             raise PrecisionError("ramification overflow in inverse twist")
-    if len(x.coeffs):
-        qi = pow(spec.q, i, spec.order - 1) if i > 0 else pow(
-            pow(spec.q, -1, spec.order - 1), -i, spec.order - 1)
-        coeffs = spec.exp_np[(spec.log_np[x.coeffs] * qi) % (spec.order - 1)]
-    else:
-        coeffs = x.coeffs
+    if len(coeffs):
+        qi = pow(spec.q, i, spec.order - 1)  # q is a unit mod p^D - 1
+        coeffs = spec.exp_np[(spec.log_np[coeffs] * qi) % (spec.order - 1)]
     return CinfElem(spec, ram, prec, exps, coeffs, _canonical=True)
 
 
@@ -386,10 +427,12 @@ def c_conj(x):
 def c_root(x, m):
     """y with y^m = x, for gcd(m, p) = 1.
 
-    Peels the leading monomial, takes the field m-th root of its
-    coefficient by exhaustive scan, then Hensel-iterates
-    w -> w - (w^m - u)/(m w^(m-1)) on the unit part.  The ramification is
-    lifted to N*m when m does not divide the leading exponent.
+    Peels the leading monomial and takes the field m-th root of its
+    coefficient by exhaustive scan; the unit's root is unit y^(m - 1) with
+    y = unit^(-1/m) from the shared Newton iteration
+    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) + 1 full-precision
+    steps.  The ramification is lifted to N*m when m does not divide the
+    leading exponent.
     """
     spec = x.spec
     if m < 2:
@@ -400,26 +443,14 @@ def c_root(x, m):
         raise PrecisionError("root of an element that is zero to precision")
     if x.min_exp() % m != 0:
         x = x.lift_ram(x.ram * m)
-    e0, lead = x.leading()
-    rel = x.prec - e0
-    unit = x.shift(-e0).scale(lead.inv()).truncate(rel)  # 1 + u, v(u) > 0
-    poly = [-lead] + [spec.zero] * (m - 1) + [spec.one]  # X^m - lead
-    root = find_root_in_field(poly)
+    e0, lead, unit = _peel(x)
+    root = find_root_in_field([-lead] + [spec.zero] * (m - 1) + [spec.one])  # X^m - lead
     if root is None:
         raise PrecisionError(
             f"leading coefficient has no {m}-th root in the ambient field; raise D")
-    m_inv = spec.scalar(m).inv()
-    w = CinfElem.const(spec, x.ram, rel, spec.one)
-    while True:
-        err = (w ** m - unit).truncate(rel)
-        if err.is_zero():
-            break
-        step = err * c_inv((w ** (m - 1)).scale(spec.scalar(m))).truncate(rel)
-        w_new = (w - step).truncate(rel)
-        if w_new == w:
-            break
-        w = w_new
-    return (w.scale(root).shift(e0 // m)).truncate(e0 // m + rel)
+    # both factors are 1 + O(t), so the product keeps the unit's precision
+    w = unit * _newton_inv_root(unit, m) ** (m - 1)
+    return w.scale(root).shift(e0 // m)
 
 
 # ---------------------------------------------------------------------------

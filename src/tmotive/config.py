@@ -25,7 +25,6 @@ class Config:
     v_min: int = 1
     slack: int = 10
     seed: int = 0
-    k_max: int = 3
 
     def __post_init__(self):
         q = self.p ** self.s

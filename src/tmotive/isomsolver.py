@@ -43,8 +43,8 @@ from fractions import Fraction
 from math import inf
 
 from .anderson import TMotive, make_tmotive, tau_matrix
-from .cinf import CinfElem, PolyT, q_twist, theta
-from .errors import GammaShapeError, NonContractionError, SingularMatrixError
+from .cinf import CinfElem, PolyT, contract, q_twist, theta
+from .errors import GammaShapeError, SingularMatrixError
 from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv
 from .latticemap import lattice_of, lattices_equal, mobius, siegel_of
 from .linalg import (kron_left, kron_right, mat_add, mat_inv, mat_min_prec,
@@ -334,9 +334,10 @@ def _min_val(mats):
 def solve_iso(motive, gamma, k=None):
     """Find B and the isomorphism Phi for a given stabilizer element.
 
-    Picard iteration on the full equations; the update valuation must
-    strictly increase, certifying contraction at this A.  Converges to
-    residuals that vanish to working precision.
+    Picard iteration on the full equations, run by contract: the update
+    valuation must strictly increase (contraction at this A) and vanish
+    within _MAX_PICARD_STEPS steps, leaving residuals that vanish to
+    working precision.
     """
     system = build_linear_system(gamma, k=k)
     spec, n, k = system.spec, system.n, system.k
@@ -351,26 +352,22 @@ def solve_iso(motive, gamma, k=None):
     ansatz = IsoAnsatz([list(r) for r in z],
                        [[list(r) for r in z] for _ in range(k)],
                        [[list(r) for r in z] for _ in range(k)])
-    v_prev = -inf
-    steps = 0
-    for _ in range(_MAX_PICARD_STEPS):
-        s_eqs, m_eqs = _equations(system, motive, ansatz, u_ser)
+
+    def update(ans):
+        s_eqs, m_eqs = _equations(system, motive, ans, u_ser)
         if _min_val(s_eqs + m_eqs) == inf:
-            break
+            return None, inf
         dB, dS, dV = system.apply_w1_inverse(
             [mat_neg(e) for e in s_eqs], [mat_neg(e) for e in m_eqs], alpha_hat_inv)
-        v_now = _min_val([dB] + dS + dV)
-        if v_now == inf:
-            break
-        if v_now <= v_prev:
-            raise NonContractionError(
-                f"update valuation stalled at step {steps}: {v_prev} -> {v_now}; "
-                "the defining matrix is too large for this ansatz degree")
-        v_prev = v_now
-        steps += 1
-        ansatz = IsoAnsatz(mat_add(ansatz.B, dB),
-                           [mat_add(s, d) for s, d in zip(ansatz.S, dS)],
-                           [mat_add(v, d) for v, d in zip(ansatz.V, dV)])
+        return (dB, dS, dV), _min_val([dB] + dS + dV)
+
+    def apply(ans, delta):
+        dB, dS, dV = delta
+        return IsoAnsatz(mat_add(ans.B, dB),
+                         [mat_add(s, d) for s, d in zip(ans.S, dS)],
+                         [mat_add(v, d) for v, d in zip(ans.V, dV)])
+
+    ansatz, steps = contract(ansatz, update, apply, _MAX_PICARD_STEPS)
     phi11, phi12, phi21, phi22 = _phi_blocks(system, ansatz, u_ser, ram, prec)
     Phi = [r1 + r2 for r1, r2 in zip(phi11, phi12)] + \
           [r1 + r2 for r1, r2 in zip(phi21, phi22)]

@@ -28,9 +28,9 @@ from itertools import product
 import numpy as np
 
 from .anderson import exp_coeffs, exp_eval, make_tmotive
-from .cinf import CinfElem, c_conj, c_inv, c_root, q_twist, theta_ij
-from .errors import (GammaShapeError, NonContractionError, PrecisionError,
-                     RecoveryError, SingularMatrixError)
+from .cinf import CinfElem, c_conj, c_inv, c_root, contract, q_twist, theta_ij
+from .errors import (GammaShapeError, PrecisionError, RecoveryError,
+                     SingularMatrixError)
 from .ffield import FFPoly, ffpoly_det, omega_split
 from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec,
                      mat_min_valuation, mat_mul, mat_sub, split_blocks)
@@ -74,35 +74,24 @@ def carlitz_period(spec, ram=None, prec_units=200):
         raise PrecisionError(f"unexpected polygon slope {v_root}")
     # z^(q^2-1) = -theta_20 balances the two lowest terms exactly
     guess = c_root(-theta_ij(spec, ram, prec_units, 2, 0), q * q - 1)
-    y0 = _fixed_point_root(coeffs, [guess])[0]
+    y0 = perturbed_root([guess], coeffs)[0]
     _PERIOD_CACHE[key] = y0
     return y0
 
 
-def _fixed_point_root(coeffs, z):
-    """Iterate z -> z - Exp(z); residual valuation must strictly increase."""
-    resid = exp_eval(coeffs, z)
-    v_prev = min(x.valuation() for x in resid)
-    for _ in range(_MAX_FIXED_POINT_STEPS):
-        if all(x.is_zero() for x in resid):
-            return z
-        z = [a - b for a, b in zip(z, resid)]
-        resid = exp_eval(coeffs, z)
-        v_now = min(x.valuation() for x in resid)
-        if v_now <= v_prev:
-            raise NonContractionError(
-                f"residual valuation stalled: {v_prev} -> {v_now}")
-        v_prev = v_now
-    raise NonContractionError("fixed point did not settle within the step cap")
-
-
-def perturbed_root(motive, anchor, coeffs):
+def perturbed_root(anchor, coeffs):
     """The unique root of the exponential near the anchor vector.
 
-    coeffs are exp_coeffs of the motive; callers compute them once and
-    share them between all the roots they need.
+    Runs z -> z - Exp(z) by contract.  coeffs are exp_coeffs of the motive;
+    callers compute them once and share them between all the roots they need.
     """
-    return _fixed_point_root(coeffs, list(anchor))
+    def residual(z):
+        r = exp_eval(coeffs, z)
+        return r, min(x.valuation() for x in r)
+
+    z, _ = contract(list(anchor), residual,
+                    lambda z, r: [a - b for a, b in zip(z, r)], _MAX_FIXED_POINT_STEPS)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +186,7 @@ def lattice_of(motive, coeffs=None):
     ram = motive.ram
     y0 = carlitz_period(spec, ram, motive.prec // ram)
     if coeffs is None:
-        q = spec.q
-        coeffs = exp_coeffs(motive, z_floor=Fraction(-q * q, q * q - 1))
+        coeffs = exp_coeffs(motive)  # certified down to the period's valuation
     w = spec.omega
     inv_y0 = c_inv(y0)
     zero = CinfElem.zero(spec, y0.ram, y0.prec)
@@ -206,7 +194,7 @@ def lattice_of(motive, coeffs=None):
     for scale in (spec.one, w):
         for i in range(n):
             anchor = [y0.scale(scale) if j == i else zero for j in range(n)]
-            root = perturbed_root(motive, anchor, coeffs=coeffs)
+            root = perturbed_root(anchor, coeffs)
             rows.append([x * inv_y0 for x in root])
     return Lattice(rows)
 
@@ -286,12 +274,13 @@ def d10_series(spec, ram=None, prec_units=200):
 class GammaElem:
     """Element (G, w^2 H; H, G) with G, H matrices over F_q[theta].
 
-    k bounds the theta-degree of the entries.  Membership in the
-    stabilizer group additionally requires the assembled determinant to
-    be a nonzero constant, checked by in_group().
+    k bounds the theta-degree of the entries.  The determinant ``det`` of
+    the assembled matrix is computed once, on construction.  Membership in
+    the stabilizer group additionally requires it to be a nonzero
+    constant, checked by in_group().
     """
 
-    __slots__ = ("spec", "n", "k", "G", "H")
+    __slots__ = ("spec", "n", "k", "G", "H", "det")
 
     def __init__(self, G, H, k=None):
         self.G = [list(r) for r in G]
@@ -310,7 +299,8 @@ class GammaElem:
         self.k = deg if k is None else k
         if deg > self.k:
             raise GammaShapeError(f"entry degree {deg} exceeds the bound {self.k}")
-        if ffpoly_det(self.assembled()).is_zero():
+        self.det = ffpoly_det(self.assembled())
+        if self.det.is_zero():
             raise GammaShapeError("assembled block matrix is singular")
 
     @classmethod
@@ -353,15 +343,12 @@ class GammaElem:
             raise GammaShapeError("determinant is not a constant unit: not a group element")
         return gamma
 
-    def det(self):
-        return ffpoly_det(self.assembled())
-
     def in_group(self):
-        d = self.det()
+        d = self.det
         return (not d.is_zero()) and d.is_constant() and d.constant().in_subfield(1)
 
     def det_constant(self):
-        d = self.det()
+        d = self.det
         if not (d.is_constant() and not d.is_zero()):
             raise GammaShapeError("determinant is not a nonzero constant")
         return d.constant()
@@ -637,7 +624,7 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
             continue
         if len(null) > 3:
             raise RecoveryError(f"ambiguous recovery: nullspace dimension {len(null)}")
-        for combo in _fq_combinations(null, p, len(basis_q)):
+        for combo in _fq_combinations(null, p):
             C = _combo_to_blocks(spec, combo, unknowns, basis_q, n, cap)
             if C is None:
                 continue
@@ -646,7 +633,7 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     raise RecoveryError(f"no polynomial change of basis up to degree {deg_cap}")
 
 
-def _fq_combinations(null, p, sdim):
+def _fq_combinations(null, p):
     """Nonzero F_p-combinations of up to three nullspace vectors."""
     k = len(null)
     for coeffs in product(range(p), repeat=k):

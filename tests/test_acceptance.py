@@ -7,6 +7,7 @@ pytest -s; the full file takes on the order of half a minute.
 
 import pytest
 
+from tmotive import acceptance
 from tmotive.acceptance import run_criterion
 from tmotive.config import Config
 
@@ -30,3 +31,17 @@ def test_criterion(number):
     res = run_criterion(number, CFG)
     print(res.line())
     assert res.passed, f"criterion {number} failed: {res.details}"
+
+
+def test_criterion_8_reruns_above_working_precision(monkeypatch):
+    # the rerun sits half the working precision higher, so at prec 300 it
+    # does not compare a run with itself
+    calls = []
+
+    def spy(cfg, ns):
+        calls.append(cfg.prec)
+        return {}
+
+    monkeypatch.setattr(acceptance, "_pipeline_artifacts", spy)
+    acceptance.criterion_8(Config(prec=300))
+    assert calls == [300, 450]

@@ -5,7 +5,7 @@ from math import inf
 import pytest
 
 from tmotive.errors import PrecisionError
-from tmotive.ffield import ambient_field
+from tmotive.ffield import ambient_field, find_root_in_field
 from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
                           t_uniformizer)
 
@@ -143,6 +143,89 @@ def test_root_rejects_characteristic(F):
     t = t_uniformizer(F, N, PU)
     with pytest.raises(ValueError):
         c_root(t, 3)
+
+
+def _oracle_inv(x):
+    """Full-precision Newton inverse, y -> y (2 - unit y), written out."""
+    spec = x.spec
+    e0, lead = x.leading()
+    rel = x.prec - e0
+    unit = x.shift(-e0).scale(lead.inv()).truncate(rel)
+    two = CinfElem.const(spec, x.ram, rel, spec.scalar(2))
+    y = CinfElem.const(spec, x.ram, rel, spec.one)
+    for _ in range(max(1, (rel - 1).bit_length() + 1)):
+        y = (y * (two - unit * y)).truncate(rel)
+    return y.scale(lead.inv()).shift(-e0).truncate(x.prec - 2 * e0)
+
+
+def _hensel_root(x, m):
+    """m-th root by the Hensel loop w -> w - (w^m - u)/(m w^(m-1)) on the unit."""
+    spec = x.spec
+    if x.min_exp() % m != 0:
+        x = x.lift_ram(x.ram * m)
+    e0, lead = x.leading()
+    rel = x.prec - e0
+    unit = x.shift(-e0).scale(lead.inv()).truncate(rel)
+    root = find_root_in_field([-lead] + [spec.zero] * (m - 1) + [spec.one])
+    if root is None:
+        raise PrecisionError("leading coefficient has no m-th root")
+    w = CinfElem.const(spec, x.ram, rel, spec.one)
+    while True:
+        err = (w ** m - unit).truncate(rel)
+        if err.is_zero():
+            break
+        step = err * _oracle_inv((w ** (m - 1)).scale(spec.scalar(m))).truncate(rel)
+        w_new = (w - step).truncate(rel)
+        if w_new == w:
+            break
+        w = w_new
+    return (w.scale(root).shift(e0 // m)).truncate(e0 // m + rel)
+
+
+def _outcome(f, *args):
+    try:
+        y = f(*args)
+    except PrecisionError:
+        return "PrecisionError"
+    return y.ram, y.prec, y.exps.tolist(), y.coeffs.tolist()
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_shared_newton_matches_oracles(p, s, D):
+    G = ambient_field(p, s, D)
+    q = G.q
+    rng = random.Random(11 * p + s)
+    for ram in (1, 2, q * q - 1):
+        for m in (2, 4, q * q - 1):
+            if m % p == 0:
+                continue
+            terms = {rng.randrange(-2 * ram, 6 * ram): G.el(rng.randrange(1, G.order))
+                     for _ in range(rng.randrange(1, 5))}
+            x = CinfElem.from_terms(G, ram, 10 * ram, terms.items())
+            # an m-th power leading coefficient has a root; a random one may not
+            x_pow = x.scale(x.leading()[1].inv() * G.el(rng.randrange(1, G.order)) ** m)
+            for y in (x, x_pow):
+                assert _outcome(c_inv, y) == _outcome(_oracle_inv, y)
+                assert _outcome(c_root, y, m) == _outcome(_hensel_root, y, m)
+
+
+def test_period_guess_root_matches_hensel(F):
+    for prec_units in (60, 200):
+        x = -theta_ij(F, N, prec_units, 2, 0)
+        assert _outcome(c_root, x, 8) == _outcome(_hensel_root, x, 8)
+
+
+def test_twist_truncates_at_the_precision_clamp(F):
+    x = CinfElem.monomial(F, 1, 1 << 44, (1 << 43) - 1, F.one)
+    y = q_twist(x, 1)  # the term lands at 3 (2^43 - 1) >= 2^44
+    assert y.prec == 1 << 44
+    assert y.is_zero()
+
+
+def test_twist_rejects_int64_exponent_overflow(F):
+    x = CinfElem.monomial(F, 1, 1 << 44, (1 << 44) - 1, F.one)
+    with pytest.raises(PrecisionError):
+        q_twist(x, 12)  # 3^12 (2^44 - 1) > 2^63 - 1
 
 
 def test_precision_soundness_pipeline(F):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from tmotive.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCHEMA, EXIT_SINGULAR, main)
+from tmotive import isomsolver
+from tmotive.cli import (EXIT_FAIL, EXIT_NONCONTRACTION, EXIT_OK, EXIT_SCHEMA,
+                         EXIT_SINGULAR, main)
 from tmotive.config import Config
 from tmotive.cinf import CinfElem, t_uniformizer
 
@@ -97,6 +99,14 @@ def test_iso_solve(capsys, a_file, gamma_file, tmp_path):
     assert rep["residual_valuations"]["full"] == "inf"
     # B = -A for this gamma: the solved matrix has the same exponents
     assert rep["B"][0][0]["terms"][0][0] == 24
+
+
+def test_iso_solve_step_cap_exit_code(capsys, a_file, gamma_file, monkeypatch):
+    # the solve applies one update; certifying that the next one vanishes
+    # takes a second step, which a cap of 1 does not allow
+    monkeypatch.setattr(isomsolver, "_MAX_PICARD_STEPS", 1)
+    rc = main(["iso-solve", "--A", a_file, "--gamma", gamma_file, "--prec", str(PREC)])
+    assert rc == EXIT_NONCONTRACTION
 
 
 def test_slope_check(capsys):

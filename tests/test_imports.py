@@ -1,9 +1,10 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports, and every parameter a function takes, is read.
 
 No linter ships with the package, so this keeps the source pruned with
-the standard library alone: parse each module under src/tmotive (package
-__init__ files re-export by design and are skipped) and collect the
-names its import statements bind that it never reads.
+the standard library alone: parse each module under src/tmotive and
+collect the names its import statements bind that it never reads
+(package __init__ files re-export by design and are skipped), and the
+parameters of each function or lambda that its body never reads.
 """
 
 import ast
@@ -32,3 +33,36 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(SRC)}:{line}: {name}"
                    for line, name in _unused_imports(tree)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# the kernel entry points share one 12-argument signature across both
+# backends and the benchmark's tracer, so a backend may ignore some
+_SHARED_SIGNATURES = {"_kernels/pure.py": {"series_mul", "series_add_merge"}}
+
+
+def _unused_parameters(tree, exempt):
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if getattr(node, "name", None) in exempt:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [(node.lineno, p) for p in params
+                if p not in ("self", "cls") and p not in read]
+    return sorted(out)
+
+
+def test_no_unused_parameters():
+    modules = sorted(SRC.rglob("*.py"))
+    unused = []
+    for path in modules:
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{rel}:{line}: {name}" for line, name in
+                   _unused_parameters(tree, _SHARED_SIGNATURES.get(rel, set()))]
+    assert not unused, "parameter never read:\n" + "\n".join(unused)

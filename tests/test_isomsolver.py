@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
 import pytest
 
-from tmotive.errors import GammaShapeError
+from tmotive.errors import GammaShapeError, NonContractionError
 from tmotive.ffield import FFPoly, ambient_field, ffpoly_det
 from tmotive.cinf import CinfElem, PolyT, q_twist, t_uniformizer
 from tmotive.anderson import make_tmotive
 from tmotive.latticemap import (GammaElem, eval_poly_matrix, gamma_from_alpha,
                                 mobius, mu13, random_gamma)
+from tmotive import isomsolver, latticemap
 from tmotive.isomsolver import (build_linear_system, morphism_residual, solve_iso,
                                 theorem3_check)
 from tmotive.linalg import (mat_min_prec, mat_mul, mat_solve, mat_sub,
@@ -27,7 +29,7 @@ def t_pow(F, m):
     return t_uniformizer(F, N, PU) ** m
 
 
-def rand_small(F, rng, n, lo=3, hi=6):
+def rand_small(F, rng, n, lo=3, hi=6, pu=PU):
     fq2 = [c for c in F.subfield(2) if c]
     out = []
     for _ in range(n):
@@ -35,7 +37,7 @@ def rand_small(F, rng, n, lo=3, hi=6):
         for _ in range(n):
             terms = {rng.randrange(lo * N, hi * N): F.el(rng.choice(fq2))
                      for _ in range(rng.randrange(1, 3))}
-            row.append(CinfElem.from_terms(F, N, PU * N, terms.items()))
+            row.append(CinfElem.from_terms(F, N, pu * N, terms.items()))
         out.append(row)
     return out
 
@@ -232,6 +234,34 @@ def test_solver_residuals_and_units(F):
         assert sol.det_phi_is_unit(tol)
         # q = 3: det(gamma) = +-1, so the checked and the literal identity agree
         assert sol.det_consistent() and sol.det_literal()
+
+
+def test_picard_step_cap_raises(F, monkeypatch):
+    rng = random.Random(5)
+    A = rand_small(F, rng, 2, pu=60)
+    g = random_gamma(F, 2, 1, rng)
+    assert solve_iso(make_tmotive(A), g, k=1).steps == 7
+    # one update cannot certify a solve that needs seven
+    monkeypatch.setattr(isomsolver, "_MAX_PICARD_STEPS", 1)
+    with pytest.raises(NonContractionError):
+        solve_iso(make_tmotive(A), g, k=1)
+
+
+def test_gamma_determinant_computed_once(F, monkeypatch):
+    g = random_gamma(F, 1, 1, random.Random(3))
+    sizes = Counter()
+
+    def counting_det(m):
+        sizes[len(m)] += 1
+        return ffpoly_det(m)
+
+    for module in (latticemap, isomsolver):
+        monkeypatch.setattr(module, "ffpoly_det", counting_det)
+    solve_iso(make_tmotive([[t_pow(F, 3)]]), g)
+    assert sizes[2] == 0  # the 2 x 2 assembled gamma: kept from construction
+    sizes.clear()
+    GammaElem.from_assembled(F, g.assembled())
+    assert sizes[2] == 1
 
 
 def test_nonzero_ansatz_blocks_for_degree_one(F):

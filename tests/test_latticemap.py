@@ -60,7 +60,7 @@ def test_period_deterministic(F, y0):
 
 def test_perturbed_root_base_returns_anchor(F, y0, base):
     co = exp_coeffs(base)
-    assert perturbed_root(base, [y0], coeffs=co)[0] == y0
+    assert perturbed_root([y0], co)[0] == y0
 
 
 def test_perturbed_root_first_order(F, y0):
@@ -68,7 +68,7 @@ def test_perturbed_root_first_order(F, y0):
     motive = make_tmotive([[a]])
     co = exp_coeffs(motive)
     d10, d10p = d10_series(F, N, PU)
-    za = perturbed_root(motive, [y0], coeffs=co)[0]
+    za = perturbed_root([y0], co)[0]
     delta = za - y0
     assert (delta + d10 * a).valuation() > (d10 * a).valuation()
     resid = exp_eval_scalar(co, za)
