@@ -325,16 +325,26 @@ def _newton_inv_root(unit, m):
     """unit^(-1/m) for a unit 1 + u with v(u) > 0 and p not dividing m.
 
     Newton's iteration y -> y ((m + 1) - unit y^m) / m from y = 1
-    (Brent-Kung 1978), every step at the unit's full precision rel:
-    v(1 - unit y^m) at least doubles per step, so bitlen(rel - 1) + 1
-    steps settle every digit below rel.
+    (Brent-Kung 1978) on a doubling schedule: P_J = rel, P_(j-1) =
+    ceil(P_j / 2) down to 1, and step j runs on y and unit at precision
+    P_j.  y = 1 is exact mod t^(1/N), and v(1 - unit y^m) at least
+    doubles per step, so y enters step j exact below P_(j-1) >= P_j / 2
+    and leaves it exact below P_j; the bitlen(rel - 1) + 1 steps end at
+    the unique unit^(-1/m) mod t^(rel/N), the same bits a run of every
+    step at full precision gives.
     """
     spec, rel = unit.spec, unit.prec
     top = CinfElem.const(spec, unit.ram, rel, spec.scalar(m + 1))
     m_inv = spec.scalar(m).inv()
-    y = CinfElem.const(spec, unit.ram, rel, spec.one)
-    for _ in range(max(1, (rel - 1).bit_length() + 1)):
-        y = (y * (top - unit * y ** m)).scale(m_inv).truncate(rel)
+    schedule = [rel]
+    while schedule[-1] > 1:
+        schedule.append((schedule[-1] + 1) // 2)
+    y = CinfElem.const(spec, unit.ram, 1, spec.one)
+    for p in reversed(schedule):
+        # raise y's declared precision; its terms are exact below ceil(p / 2)
+        y = CinfElem(spec, unit.ram, p, y.exps, y.coeffs, _canonical=True)
+        u = unit.truncate(p)
+        y = (y * (top - u * y ** m)).scale(m_inv).truncate(p)
     return y
 
 
@@ -361,7 +371,9 @@ def contract(x, update, apply, cap):
 def c_inv(x):
     """Series inverse: peel the leading monomial, then invert the unit by
     the shared Newton iteration at m = 1, y -> y (2 - unit y), in
-    bitlen(rel - 1) + 1 full-precision steps, rel the relative precision.
+    bitlen(rel - 1) + 1 steps whose precision doubles up to the relative
+    precision rel; the inverse mod t^rel is unique, so the bits are those
+    of full-precision steps.
     """
     if x.is_zero():
         raise PrecisionError("inverse of an element that is zero to precision")
@@ -430,9 +442,11 @@ def c_root(x, m):
     Peels the leading monomial and takes the field m-th root of its
     coefficient by exhaustive scan; the unit's root is unit y^(m - 1) with
     y = unit^(-1/m) from the shared Newton iteration
-    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) + 1 full-precision
-    steps.  The ramification is lifted to N*m when m does not divide the
-    leading exponent.
+    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) + 1 steps whose
+    precision doubles up to the unit's relative precision rel (the root
+    mod t^rel is unique, so the bits are those of full-precision steps).
+    The ramification is lifted to N*m when m does not divide the leading
+    exponent.
     """
     spec = x.spec
     if m < 2:

@@ -429,12 +429,6 @@ class FFElem:
     def in_subfield(self, m):
         return self.frobenius(m) == self
 
-    def multiplicative_order(self):
-        if self.idx == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        qm1 = self.spec.order - 1
-        return qm1 // gcd(self.spec._log[self.idx], qm1)
-
     def coeffs(self):
         return list(_digits(self.idx, self.spec.p, self.spec.D))
 
@@ -584,12 +578,6 @@ class FFPoly:
 
     def frobenius(self, i=1):
         return self.map_coeffs(lambda c: c.frobenius(i))
-
-    def eval_ff(self, x):
-        acc = self.spec.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def in_prime_subfield(self):
         return all(c.in_subfield(1) for c in self.coeffs)

@@ -151,6 +151,7 @@ def vec_rowmajor(a):
 
 
 def unvec_rowmajor(v, n):
+    """Inverse of vec_rowmajor: the layout kron_left and kron_right assume."""
     return [list(v[i * n:(i + 1) * n]) for i in range(n)]
 
 

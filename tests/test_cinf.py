@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from tmotive import cinf
 from tmotive.errors import PrecisionError
 from tmotive.ffield import ambient_field, find_root_in_field
 from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
@@ -207,6 +208,62 @@ def test_shared_newton_matches_oracles(p, s, D):
             for y in (x, x_pow):
                 assert _outcome(c_inv, y) == _outcome(_oracle_inv, y)
                 assert _outcome(c_root, y, m) == _outcome(_hensel_root, y, m)
+
+
+def _dense_series(G, rng, ram, e0, rel):
+    """A series with every exponent from e0 to e0 + rel - 1 drawn at random
+    (zeros allowed) and relative precision rel; its leading coefficient is
+    a fourth power, so square and fourth roots exist."""
+    lead = G.el(rng.randrange(1, G.order)) ** 4
+    terms = [(e0, lead)] + [(e0 + k, G.el(rng.randrange(G.order))) for k in range(1, rel)]
+    x = CinfElem.from_terms(G, ram, e0 + rel, terms)
+    assert x.prec - x.min_exp() == rel
+    return x
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_doubling_schedule_matches_oracles(p, s, D):
+    # rel = 1 runs the single step at precision 1; rel = 2^k + 1 is where
+    # ceil(P / 2) rounds up at every level of the schedule
+    G = ambient_field(p, s, D)
+    q = G.q
+    rng = random.Random(7 * p + s)
+    for ram in (2, q * q - 1):
+        for rel in (1, 2, 3, 5, 9, 17, 33, 65, 129):
+            # a leading exponent divisible by 4 keeps c_root's rel for m = 2, 4
+            x = _dense_series(G, rng, ram, 4 * rng.randrange(-2 * ram, 2 * ram), rel)
+            assert _outcome(c_inv, x) == _outcome(_oracle_inv, x)
+            for m in (2, 4):
+                assert _outcome(c_root, x, m) == _outcome(_hensel_root, x, m)
+
+
+def test_doubling_schedule_matches_oracles_at_iso_size(F):
+    # a dense unit at the iso-q3 size: prec 200 at ram 8, rel = 1600
+    x = _dense_series(F, random.Random(13), N, -3 * N, PU * N)
+    assert _outcome(c_inv, x) == _outcome(_oracle_inv, x)
+    assert _outcome(c_root, x, 4) == _outcome(_hensel_root, x, 4)
+
+
+def test_newton_precision_doubles_per_step(F, monkeypatch):
+    rel = PU * N
+    x = _dense_series(F, random.Random(17), N, 0, rel)
+    caps = []
+    series_mul = cinf._kernels.series_mul
+
+    def spy(*args):
+        caps.append(args[-1])
+        return series_mul(*args)
+
+    monkeypatch.setattr(cinf._kernels, "series_mul", spy)
+    y = c_inv(x)
+    monkeypatch.undo()
+    # step j of J = bitlen(rel - 1) runs at ceil(rel / 2^(J - j)) and forms
+    # two products, unit y and y (2 - unit y)
+    J = (rel - 1).bit_length()
+    schedule = [-(-rel // 2 ** (J - j)) for j in range(J + 1)]
+    assert schedule[0] == 1 and schedule[-1] == rel
+    assert caps == [P for P in schedule for _ in range(2)]
+    assert y == _oracle_inv(x)
 
 
 def test_period_guess_root_matches_hensel(F):
