@@ -10,11 +10,12 @@ Layers, bottom to top:
 * ``isomsolver`` block isomorphism system and its fixed-point solver
 * ``cli``        JSON-speaking command line driver and acceptance runner
 
-The series kernels have a compiled backend (Cython) with a pure-numpy
-fallback; see tmotive._kernels.BACKEND for which one is active.
+The sparse-series product and merge-add run in numpy
+(``tmotive._kernels.pure``); ``KERNEL_BACKEND`` names that kernel in
+benchmark records.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+KERNEL_BACKEND = "pure"
 
 __version__ = "0.1.0"
 __all__ = ["KERNEL_BACKEND", "__version__"]

@@ -1,4 +1,4 @@
-"""Pure-numpy series kernels: the fallback backend.
+"""Pure-numpy series kernels: sparse product and merge-add.
 
 A series is a pair of equal-length int64 arrays (exps, coeffs): exponent
 numerators sorted ascending, packed nonzero field coefficients.  Field
@@ -7,9 +7,9 @@ FieldSpec.
 
 Dense products accumulate lane-packed digit words (one integer add per
 product term) when the field provides a lane table (D <= 4), falling
-back to Zech addition otherwise.  The compiled backend (_speedups)
-implements the same entry points with identical outputs; tests
-cross-check the two on random inputs.
+back to Zech addition otherwise.  Both entry points take the same
+twelve arguments, so a caller or tracer handles them alike; the tests
+check them against a schoolbook product and merge on random inputs.
 """
 
 import numpy as np

@@ -48,10 +48,6 @@ class TMotive:
                     raise NeighborhoodError(
                         f"entry valuation {x.valuation()} below the floor {v_min}")
 
-    @property
-    def r(self):
-        return 2 * self.n
-
     def is_base_point(self):
         """True for A = 0, the n-th power of the quadratic Carlitz module."""
         return all(x.is_zero() for row in self.A for x in row)

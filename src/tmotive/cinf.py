@@ -36,9 +36,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 _PREC_CAP = 1 << 44
 _INT64_MAX = (1 << 63) - 1
 
-# largest digit sum a 16-bit lane of the dense product kernels can hold
-_LANE_MAX = 0xFFFF
-
 
 class CinfElem:
     """Immutable truncated Puiseux series.
@@ -200,16 +197,9 @@ class CinfElem:
         a, b = self._common(other)
         cap = min(a.prec + b.min_exp(), b.prec + a.min_exp())
         s = a.spec
-        # a 16-bit digit lane sums up to (p - 1) * min(len) products.  The
-        # kernels make the same check, but the tracked _speedups.c was
-        # generated from an older _speedups.pyx without it and cannot be
-        # regenerated without Cython, so the guard stays here too.
-        lanes = s.lane_exp_np
-        if (s.p - 1) * min(len(a.exps), len(b.exps)) > _LANE_MAX:
-            lanes = None
         e, c = _kernels.series_mul(
             a.exps, a.coeffs, b.exps, b.coeffs,
-            s.log_np, s.exp_np, s.zech_np, lanes,
+            s.log_np, s.exp_np, s.zech_np, s.lane_exp_np,
             s.order - 1, s.p, s.D, cap)
         return CinfElem(s, a.ram, cap, e, c, _canonical=True)
 
@@ -326,12 +316,12 @@ def _newton_inv_root(unit, m):
 
     Newton's iteration y -> y ((m + 1) - unit y^m) / m from y = 1
     (Brent-Kung 1978) on a doubling schedule: P_J = rel, P_(j-1) =
-    ceil(P_j / 2) down to 1, and step j runs on y and unit at precision
-    P_j.  y = 1 is exact mod t^(1/N), and v(1 - unit y^m) at least
-    doubles per step, so y enters step j exact below P_(j-1) >= P_j / 2
-    and leaves it exact below P_j; the bitlen(rel - 1) + 1 steps end at
-    the unique unit^(-1/m) mod t^(rel/N), the same bits a run of every
-    step at full precision gives.
+    ceil(P_j / 2) down to P_0 = 1, and step j >= 1 runs on y and unit at
+    precision P_j.  y = 1 is exact mod t^(1/N), so no step runs at P_0,
+    and v(1 - unit y^m) at least doubles per step, so y enters step j
+    exact below P_(j-1) >= P_j / 2 and leaves it exact below P_j; the
+    J = bitlen(rel - 1) steps end at the unique unit^(-1/m) mod
+    t^(rel/N), the same bits a run of every step at full precision gives.
     """
     spec, rel = unit.spec, unit.prec
     top = CinfElem.const(spec, unit.ram, rel, spec.scalar(m + 1))
@@ -340,7 +330,7 @@ def _newton_inv_root(unit, m):
     while schedule[-1] > 1:
         schedule.append((schedule[-1] + 1) // 2)
     y = CinfElem.const(spec, unit.ram, 1, spec.one)
-    for p in reversed(schedule):
+    for p in reversed(schedule[:-1]):
         # raise y's declared precision; its terms are exact below ceil(p / 2)
         y = CinfElem(spec, unit.ram, p, y.exps, y.coeffs, _canonical=True)
         u = unit.truncate(p)
@@ -371,7 +361,7 @@ def contract(x, update, apply, cap):
 def c_inv(x):
     """Series inverse: peel the leading monomial, then invert the unit by
     the shared Newton iteration at m = 1, y -> y (2 - unit y), in
-    bitlen(rel - 1) + 1 steps whose precision doubles up to the relative
+    bitlen(rel - 1) steps whose precision doubles up to the relative
     precision rel; the inverse mod t^rel is unique, so the bits are those
     of full-precision steps.
     """
@@ -442,7 +432,7 @@ def c_root(x, m):
     Peels the leading monomial and takes the field m-th root of its
     coefficient by exhaustive scan; the unit's root is unit y^(m - 1) with
     y = unit^(-1/m) from the shared Newton iteration
-    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) + 1 steps whose
+    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) steps whose
     precision doubles up to the unit's relative precision rel (the root
     mod t^rel is unique, so the bits are those of full-precision steps).
     The ramification is lifted to N*m when m does not divide the leading

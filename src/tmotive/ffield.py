@@ -6,7 +6,7 @@ period's leading coefficient, and all series coefficients.  Elements are
 stored as integers in [0, p^D) packing the coefficient vector base p
 (low degree first).  A FieldSpec builds discrete log / exp / Zech tables
 once, after which multiplication, inversion, addition and Frobenius are
-O(1) table lookups.  The same tables back the compiled series kernels.
+O(1) table lookups.  The same tables back the series kernels.
 
 q = p^s must be odd: the stabilizer block shape (G, w^2 H; H, G) needs
 an omega with omega^2 in F_q, which no even-q field provides.
@@ -301,10 +301,6 @@ class FieldSpec:
     def scalar(self, n):
         """Image of the integer n under the prime field embedding."""
         return FFElem(self, n % self.p)
-
-    def elements(self):
-        for x in range(self.order):
-            yield FFElem(self, x)
 
     def subfield(self, m):
         """Packed values of the subfield F_{q^m}, ascending.  Requires m*s | D."""

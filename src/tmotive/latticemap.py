@@ -157,9 +157,6 @@ class Lattice:
         self.siegel = SiegelMatrix(Z)
         self.v_det_im_z = det.valuation()
 
-    def min_prec(self):
-        return mat_min_prec(self.rows)
-
 
 class SiegelMatrix:
     """Coordinates of the second half of a lattice basis in the first half."""
@@ -172,9 +169,6 @@ class SiegelMatrix:
     @property
     def n(self):
         return len(self.Z)
-
-    def min_prec(self):
-        return mat_min_prec(self.Z)
 
 
 def lattice_of(motive, coeffs=None):

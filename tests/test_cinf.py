@@ -27,7 +27,7 @@ def rand_series(F, rng, vmin=-3, vmax=12, nterms=5, prec=PU * N):
 
 def test_construction_merges_repeated_exponents(F):
     # duplicate exponents in the input must be field-added into canonical
-    # form; backends disagree on non-canonical series otherwise
+    # form, the only form the series kernels accept
     two = F.scalar(2)
     x = CinfElem.from_terms(F, N, PU * N, [(5, two), (5, two), (3, F.one)])
     assert [e for e, _ in x.term_items()] == [3, 5]
@@ -223,7 +223,7 @@ def _dense_series(G, rng, ram, e0, rel):
 
 @pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
 def test_doubling_schedule_matches_oracles(p, s, D):
-    # rel = 1 runs the single step at precision 1; rel = 2^k + 1 is where
+    # rel = 1 runs no step at all; rel = 2^k + 1 is where
     # ceil(P / 2) rounds up at every level of the schedule
     G = ambient_field(p, s, D)
     q = G.q
@@ -257,11 +257,12 @@ def test_newton_precision_doubles_per_step(F, monkeypatch):
     monkeypatch.setattr(cinf._kernels, "series_mul", spy)
     y = c_inv(x)
     monkeypatch.undo()
-    # step j of J = bitlen(rel - 1) runs at ceil(rel / 2^(J - j)) and forms
-    # two products, unit y and y (2 - unit y)
+    # step j = 1..J of J = bitlen(rel - 1) runs at ceil(rel / 2^(J - j))
+    # and forms two products, unit y and y (2 - unit y); y = 1 is exact
+    # at precision 1, so no step runs there
     J = (rel - 1).bit_length()
-    schedule = [-(-rel // 2 ** (J - j)) for j in range(J + 1)]
-    assert schedule[0] == 1 and schedule[-1] == rel
+    schedule = [-(-rel // 2 ** (J - j)) for j in range(1, J + 1)]
+    assert schedule[0] == 2 and schedule[-1] == rel
     assert caps == [P for P in schedule for _ in range(2)]
     assert y == _oracle_inv(x)
 

@@ -1,10 +1,13 @@
-"""Every name a module imports, and every parameter a function takes, is read.
+"""Every name a module imports, and every parameter a function takes, is
+read, and no module reads the process environment.
 
 No linter ships with the package, so this keeps the source pruned with
 the standard library alone: parse each module under src/tmotive and
 collect the names its import statements bind that it never reads
-(package __init__ files re-export by design and are skipped), and the
-parameters of each function or lambda that its body never reads.
+(package __init__ files re-export by design and are skipped), the
+parameters of each function or lambda that its body never reads, and
+every read of os.environ or os.getenv, so that no environment variable
+can switch a code path behind the tests' back.
 """
 
 import ast
@@ -35,8 +38,9 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-# the kernel entry points share one 12-argument signature across both
-# backends and the benchmark's tracer, so a backend may ignore some
+# the two kernel entry points share one 12-argument signature, which the
+# benchmark's tracer reads positionally (the cap is args[11]), so each
+# may ignore some of its arguments
 _SHARED_SIGNATURES = {"_kernels/pure.py": {"series_mul", "series_add_merge"}}
 
 
@@ -66,3 +70,29 @@ def test_no_unused_parameters():
         unused += [f"{rel}:{line}: {name}" for line, name in
                    _unused_parameters(tree, _SHARED_SIGNATURES.get(rel, set()))]
     assert not unused, "parameter never read:\n" + "\n".join(unused)
+
+
+_ENV_NAMES = {"environ", "getenv"}
+
+
+def _environment_reads(tree):
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            out.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, f"from os import {a.name}")
+                    for a in node.names if a.name in _ENV_NAMES]
+    return sorted(out)
+
+
+def test_no_environment_reads():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    reads = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [f"{path.relative_to(SRC)}:{line}: {what}"
+                  for line, what in _environment_reads(tree)]
+    assert not reads, "environment read:\n" + "\n".join(reads)
