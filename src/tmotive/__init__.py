@@ -4,7 +4,7 @@ Layers, bottom to top:
 
 * ``ffield``     ambient finite field with table-driven arithmetic
 * ``cinf``       truncated Puiseux series over the ambient field
-* ``linalg``     matrices over every ring above, vectorization, solving
+* ``linalg``     matrices over every ring above, solving
 * ``anderson``   module data, exponential coefficients and evaluation
 * ``latticemap`` period, perturbed roots, lattices, Siegel matrices, mobius
 * ``isomsolver`` block isomorphism system and its fixed-point solver

@@ -129,9 +129,6 @@ class CinfElem:
             raise PrecisionError("no leading term: element is zero to precision")
         return int(self.exps[0]), FFElem(self.spec, int(self.coeffs[0]))
 
-    def term_items(self):
-        return [(int(e), FFElem(self.spec, int(c))) for e, c in zip(self.exps, self.coeffs)]
-
     def coeff_at(self, e, ram=None):
         """Coefficient of t^(e/ram) (defaults to own ram)."""
         ram = ram or self.ram
@@ -532,14 +529,6 @@ class PolyT:
 
     def twist(self, i):
         return PolyT(self.spec, [q_twist(c, i) for c in self.coeffs])
-
-    def eval(self, z):
-        if not self.coeffs:
-            return CinfElem.zero(z.spec, z.ram, z.prec)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
 
     def truncate(self, prec):
         return PolyT(self.spec, [c.truncate(prec) for c in self.coeffs])

@@ -1,6 +1,9 @@
 """Exception types shared across the package.
 
-Each class maps to a distinct CLI exit code, see cli.EXIT_CODES.
+The CLI maps each class to an exit code through cli._EXIT_BY_ERROR:
+SchemaError 2, PrecisionError 3, NonContractionError 4, and
+SingularMatrixError, GammaShapeError and NeighborhoodError share 5.
+Every other package error exits 1.
 """
 
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in a fixed ambient finite field F_{p^D}.
 
 The ambient field houses every scalar of the package: the quadratic
-element omega in F_{q^2} - F_q, the root-of-minus-one zeta needed by the
-period's leading coefficient, and all series coefficients.  Elements are
+element omega in F_{q^2} - F_q, the roots that c_root takes of leading
+coefficients (the period's among them), and all series coefficients.  Elements are
 stored as integers in [0, p^D) packing the coefficient vector base p
 (low degree first).  A FieldSpec builds discrete log / exp / Zech tables
 once, after which multiplication, inversion, addition and Frobenius are
@@ -348,17 +348,6 @@ class FieldSpec:
             else:
                 raise FieldError("no omega in F_{q^2} - F_q with omega^2 in F_q")
         return self._omega
-
-    @property
-    def zeta(self):
-        """Element with zeta^(q^2-1) = -1, the leading coefficient of the period."""
-        if not hasattr(self, "_zeta"):
-            m = self.q * self.q - 1
-            root = find_root_in_field([self.one] + [self.zero] * (m - 1) + [self.one])
-            if root is None:
-                raise FieldError("no zeta with zeta^(q^2-1) = -1: raise the ambient degree D")
-            self._zeta = root
-        return self._zeta
 
     def check(self, other):
         if self is not other:

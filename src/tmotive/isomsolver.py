@@ -34,9 +34,19 @@ fixed conventions downstream: lattice bases are rows (so the Siegel
 matrix responds to the transpose of the defining matrix at first order)
 and the group acts by Z -> (PZ + Q)(RZ + S)^(-1).  With it, the solved B satisfies
 action(gamma, Z(B)) = Z(A) for the Siegel matrices of the lattice
-layer, for every n.  The determinant of W1 is then (up to sign) the
-n-th power of the constant det alpha(gamma)^(-1); its norm down to F_q
-is det(gamma)^(-n), the form the determinant consistency check takes.
+layer, for every n.
+
+The determinant of W1 in closed form.  Moving the k n^2 S-columns past
+the n^2 B-columns takes k n^4 column swaps and leaves W1 block diagonal:
+the identity on the S-block, and the M-rows restricted to [B | V].
+Adding theta^i times M-row block i to M-row block 0 clears the V band
+from row block 0, which becomes Uhat(theta) (x) I_n on B; what is left
+of the V band is block bidiagonal with identity blocks on its diagonal.
+So det W1 = (-1)^(kn) det(anchor)^n, the n-th power of the constant
+det alpha(gamma)^(-1) with that exact sign; its norm down to F_q is
+det(gamma)^(-n), the form the determinant consistency check takes.
+The system is never assembled: W1^(-1) is applied through the same
+structure.
 """
 
 from fractions import Fraction
@@ -44,12 +54,13 @@ from math import inf
 
 from .anderson import TMotive, make_tmotive, tau_matrix
 from .cinf import CinfElem, PolyT, contract, q_twist, theta
-from .errors import GammaShapeError, SingularMatrixError
-from .ffield import FFPoly, ffpoly_det, ffpoly_unit_inv
-from .latticemap import lattice_of, lattices_equal, mobius, siegel_of
-from .linalg import (kron_left, kron_right, mat_add, mat_inv, mat_min_prec,
-                     mat_min_valuation, mat_mul, mat_neg, mat_sub, mat_twist,
-                     pm_det, pm_min_valuation, pm_twist, split_blocks, zeros)
+from .errors import GammaShapeError
+from .ffield import ffpoly_det, ffpoly_unit_inv
+from .latticemap import (eval_poly_matrix, lattice_of, lattices_equal, mobius,
+                         siegel_of)
+from .linalg import (mat_add, mat_inv, mat_min_prec, mat_min_valuation, mat_mul,
+                     mat_neg, mat_sub, mat_twist, pm_det, pm_min_valuation, pm_twist,
+                     split_blocks, zeros)
 
 _MAX_PICARD_STEPS = 400
 
@@ -59,40 +70,21 @@ _MAX_PICARD_STEPS = 400
 
 
 class LinearSystem:
-    """Symbolic and evaluated forms of the linearized block system.
+    """The linearized block system, held by its structure.
 
-    Rows: k S-type equations then k+1 M-type equations; columns vectorize
-    B, S_0..S_{k-1}, V_0..V_{k-1} row-major.  W2 carries the constant
-    right-hand side coefficients (zero on the S-rows).
+    Rows: k S-type equations then k+1 M-type equations; columns: B,
+    S_0..S_{k-1}, V_0..V_{k-1}.  The anchor and its coefficient matrices
+    Uhat_d determine W1; the right-hand side of the M-rows carries the
+    twisted Uhat_i^(1) (zero on the S-rows).
     """
 
-    def __init__(self, spec, n, k, U_hat, W1_sym, W2_sym, det_w1):
+    def __init__(self, spec, n, k, anchor, U_hat, det_w1):
         self.spec = spec
         self.n = n
         self.k = k
-        self.U_hat = U_hat          # conjugate-anchor coefficient matrices
-        self.W1_sym = W1_sym        # FFPoly, square of size (2k+1) n^2
-        self.W2_sym = W2_sym        # FFPoly, (2k+1) n^2 by n^2
+        self.anchor = anchor        # n x n FFPoly, the inverse transpose of alpha
+        self.U_hat = U_hat          # its coefficient matrices, padded to degree k
         self.det_w1 = det_w1        # constant FFElem
-
-    def size(self):
-        return (2 * self.k + 1) * self.n * self.n
-
-    def det_w1_norm(self):
-        """Norm of det W1 down to the base field."""
-        return self.det_w1 * self.det_w1.frobenius(1)
-
-    def alpha_hat_eval(self, ram, prec_units):
-        """The theta-evaluated conjugate alpha image, an n x n series matrix."""
-        spec, n = self.spec, self.n
-        out = zeros(spec, ram, prec_units * ram, n)
-        for d, Ud in enumerate(self.U_hat):
-            for i in range(n):
-                for j in range(n):
-                    if not Ud[i][j].is_zero():
-                        out[i][j] = out[i][j] + CinfElem.monomial(
-                            spec, ram, prec_units * ram, -ram * d, Ud[i][j])
-        return out
 
     def apply_w1_inverse(self, s_rhs, m_rhs, alpha_hat_inv):
         """Solve W1 (B, S, V) = rhs through the block-triangular structure.
@@ -147,10 +139,10 @@ def _u_mul(U_hat, i, B):
 
 
 def build_linear_system(gamma, k=None):
-    """Assemble W1, W2 for a stabilizer element and ansatz degree k.
+    """The anchor of a stabilizer element, its coefficients and det W1.
 
-    The W1 determinant must be a nonzero constant; a singular W1
-    contradicts the group structure and raises hard.
+    det W1 comes from its closed form (-1)^(kn) det(anchor)^n (see the
+    module notes); in_group makes det(anchor) a constant unit.
     """
     if not gamma.in_group():
         raise GammaShapeError("determinant is not a constant unit: not a group element")
@@ -169,43 +161,10 @@ def build_linear_system(gamma, k=None):
     U_hat = [[[anchor[i][j][d] for j in range(n)] for i in range(n)]
              for d in range(deg_anchor + 1)]
     U_hat += [[[spec.zero] * n for _ in range(n)] for _ in range(k - deg_anchor)]
-    sz = (2 * k + 1) * n * n
-    zero = FFPoly(spec)
-    one = FFPoly.const(spec.one)
-    th = FFPoly.theta(spec)
-    W1 = [[zero for _ in range(sz)] for _ in range(sz)]
-    W2 = [[zero for _ in range(n * n)] for _ in range(sz)]
-    nn = n * n
-
-    def put(W, row0, col0, blk):
-        for i, r in enumerate(blk):
-            for j, x in enumerate(r):
-                if not x.is_zero():
-                    W[row0 + i][col0 + j] = x
-
-    # S-rows: identity on the S block
-    for i in range(k):
-        for t in range(nn):
-            W1[i * nn + t][nn + i * nn + t] = one
-    # M-rows
-    for i in range(k + 1):
-        r0 = (k + i) * nn
-        u = [[FFPoly.const(x) for x in row] for row in U_hat[i]]
-        # (Uhat_i)_l on B and the twisted (Uhat_i^(1))_r on the right-hand side
-        put(W1, r0, 0, kron_left(u, zero))
-        put(W2, r0, 0, kron_right([[x.frobenius(1) for x in row] for row in u], zero))
-        if i >= 1:
-            for t in range(nn):
-                W1[r0 + t][nn * (1 + k) + (i - 1) * nn + t] = one
-        if i < k:
-            for t in range(nn):
-                W1[r0 + t][nn * (1 + k) + i * nn + t] = -th
-    det = ffpoly_det(W1)
-    if det.is_zero():
-        raise SingularMatrixError("linear system is singular: group structure violated")
-    if not det.is_constant():
-        raise SingularMatrixError("linear system determinant is not constant")
-    return LinearSystem(spec, n, k, U_hat, W1, W2, det.constant())
+    det_w1 = ffpoly_det(anchor).constant() ** n
+    if k * n % 2:
+        det_w1 = -det_w1
+    return LinearSystem(spec, n, k, anchor, U_hat, det_w1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +189,14 @@ class IsoSolution:
     tolerance.
     """
 
-    __slots__ = ("ansatz", "Phi", "residuals", "det_w1", "det_w1_norm",
-                 "det_gamma", "det_phi", "steps")
+    __slots__ = ("ansatz", "Phi", "residuals", "det_w1", "det_gamma", "det_phi",
+                 "steps")
 
-    def __init__(self, ansatz, Phi, residuals, det_w1, det_w1_norm, det_gamma,
-                 det_phi, steps):
+    def __init__(self, ansatz, Phi, residuals, det_w1, det_gamma, det_phi, steps):
         self.ansatz = ansatz
         self.Phi = Phi
         self.residuals = residuals
         self.det_w1 = det_w1
-        self.det_w1_norm = det_w1_norm
         self.det_gamma = det_gamma
         self.det_phi = det_phi
         self.steps = steps
@@ -247,6 +204,11 @@ class IsoSolution:
     @property
     def B(self):
         return self.ansatz.B
+
+    @property
+    def det_w1_norm(self):
+        """Norm of det W1 down to the base field."""
+        return self.det_w1 * self.det_w1.frobenius(1)
 
     def residuals_ok(self, tol_units):
         """Every block relation and the full identity hold to tol_units."""
@@ -342,8 +304,7 @@ def solve_iso(motive, gamma, k=None):
     system = build_linear_system(gamma, k=k)
     spec, n, k = system.spec, system.n, system.k
     ram, prec = motive.ram, motive.prec
-    prec_units = prec // ram
-    alpha_hat = system.alpha_hat_eval(ram, prec_units)
+    alpha_hat = eval_poly_matrix(system.anchor, spec, ram, prec // ram * ram)
     alpha_hat_inv = mat_inv(alpha_hat)
     # the anchor's constant matrices Uhat_d as series, built once per solve
     u_ser = [[[CinfElem.monomial(spec, ram, prec, 0, u) for u in row] for row in Ud]
@@ -373,8 +334,8 @@ def solve_iso(motive, gamma, k=None):
           [r1 + r2 for r1, r2 in zip(phi21, phi22)]
     resid = morphism_residual(motive, ansatz.B, Phi)
     det_phi = pm_det(Phi)
-    return IsoSolution(ansatz, Phi, resid, system.det_w1, system.det_w1_norm(),
-                       gamma.det_constant(), det_phi, steps)
+    return IsoSolution(ansatz, Phi, resid, system.det_w1, gamma.det_constant(),
+                       det_phi, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +390,10 @@ def theorem3_check(motive, gamma, k=None, slack=10):
     Checks, at tolerance prec - 2*slack: action(gamma, Z(B)) = Z(A); the
     lattice classes agree (polynomial change of basis recovered); the
     residual report of Phi; det Phi a unit; the determinant consistency
-    N(det W1) = det(gamma)^n.  Each of the two lattices is built once;
-    both Siegel matrices are the ones their lattice checks formed.
+    N(det W1) det(gamma)^n = 1 (the literal form N(det W1) = det(gamma)^n
+    is IsoSolution.det_literal, not a flag here).  Each of the two
+    lattices is built once; both Siegel matrices are the ones their
+    lattice checks formed.
     """
     sol = solve_iso(motive, gamma, k=k)
     prec_units = motive.prec // motive.ram

@@ -297,14 +297,6 @@ class GammaElem:
         if self.det.is_zero():
             raise GammaShapeError("assembled block matrix is singular")
 
-    @classmethod
-    def identity(cls, spec, n):
-        one = FFPoly.const(spec.one)
-        z = FFPoly(spec)
-        G = [[one if i == j else z for j in range(n)] for i in range(n)]
-        H = [[z for _ in range(n)] for _ in range(n)]
-        return cls(G, H, k=0)
-
     def assembled(self):
         w2 = self.spec.omega * self.spec.omega
         top = [row_g + [pol * w2 for pol in row_h]
@@ -443,31 +435,6 @@ def random_gamma(spec, n, k, rng):
         if budget == 0:
             break
     return gamma_from_alpha(spec, acc, k=k)
-
-
-def random_nonstabilizer(spec, n, k, rng):
-    """Invertible 2n x 2n polynomial matrix over F_q[theta] off the block shape."""
-    fq = spec.subfield(1)
-    m = 2 * n
-    one = FFPoly.const(spec.one)
-    z = FFPoly(spec)
-    acc = [[one if i == j else z for j in range(m)] for i in range(m)]
-    for _ in range(4):
-        i = rng.randrange(m)
-        j = rng.randrange(m)
-        while j == i:
-            j = rng.randrange(m)
-        c = spec.el(rng.choice([x for x in fq if x != 0]))
-        d = rng.randrange(0, k + 1)
-        tv = [[one if a == b else z for b in range(m)] for a in range(m)]
-        tv[i][j] = FFPoly(spec, [spec.zero] * d + [c])
-        acc = mat_mul(acc, tv)
-    # reject the (unlikely) block-shaped outcome
-    tl = [r[:n] for r in acc[:n]]
-    br = [r[n:] for r in acc[n:]]
-    if all(tl[i][j] == br[i][j] for i in range(n) for j in range(n)):
-        acc[0][0] = acc[0][0] + FFPoly.theta(spec)
-    return acc
 
 
 def eval_poly_matrix(mat, spec, ram, prec):

@@ -2,10 +2,8 @@
 
 Matrices are plain nested lists whose entries come from one ring: series
 (CinfElem), polynomials in T over the series (PolyT) or polynomials in
-theta over the ambient field (FFPoly).  Sums, products, block splitting
-and vectorization (row-major vec and the Kronecker matrices of left and
-right multiplication) use only + and * on entries, so they serve all
-three rings.  Where a ring names an operation differently (twists,
+theta over the ambient field (FFPoly).  Sums, products and block
+splitting use only + and * on entries, so they serve all three rings.  Where a ring names an operation differently (twists,
 valuations, determinants) there is one helper per ring.
 
 Sizes stay tiny (at most a dozen rows), so the implementations favor
@@ -143,41 +141,6 @@ def mat_det(a):
     if sign < 0:
         det = -det
     return det
-
-
-def vec_rowmajor(a):
-    """Row-major (lexicographic) flattening to a column of entries."""
-    return [x for r in a for x in r]
-
-
-def unvec_rowmajor(v, n):
-    """Inverse of vec_rowmajor: the layout kron_left and kron_right assume."""
-    return [list(v[i * n:(i + 1) * n]) for i in range(n)]
-
-
-def kron_left(a, zero):
-    """K with vec(a m) = K vec(m): a tensor identity in row-major layout.
-
-    zero fills the entries off the pattern; it is the zero of a's ring.
-    """
-    n = len(a)
-    out = [[zero] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i * n + k][j * n + k] = a[i][j]
-    return out
-
-
-def kron_right(a, zero):
-    """K with vec(m a) = K vec(m): block diagonal with transposed blocks."""
-    n = len(a)
-    out = [[zero] * (n * n) for _ in range(n * n)]
-    for b in range(n):
-        for i in range(n):
-            for j in range(n):
-                out[b * n + i][b * n + j] = a[j][i]
-    return out
 
 
 def split_blocks(m, n):

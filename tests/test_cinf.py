@@ -6,7 +6,7 @@ import pytest
 
 from tmotive import cinf
 from tmotive.errors import PrecisionError
-from tmotive.ffield import ambient_field, find_root_in_field
+from tmotive.ffield import FFElem, ambient_field, find_root_in_field
 from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
                           t_uniformizer)
 
@@ -25,12 +25,25 @@ def rand_series(F, rng, vmin=-3, vmax=12, nterms=5, prec=PU * N):
     return CinfElem.from_terms(F, N, prec, terms.items())
 
 
+def term_items(x):
+    """The stored (exponent numerator, coefficient) pairs of a series."""
+    return [(int(e), FFElem(x.spec, int(c))) for e, c in zip(x.exps, x.coeffs)]
+
+
+def poly_eval(p, z):
+    """A PolyT evaluated at T = z by Horner's rule."""
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
 def test_construction_merges_repeated_exponents(F):
     # duplicate exponents in the input must be field-added into canonical
     # form, the only form the series kernels accept
     two = F.scalar(2)
     x = CinfElem.from_terms(F, N, PU * N, [(5, two), (5, two), (3, F.one)])
-    assert [e for e, _ in x.term_items()] == [3, 5]
+    assert [e for e, _ in term_items(x)] == [3, 5]
     assert x.coeff_at(5, N) == two + two
     y = CinfElem.from_terms(F, N, PU * N, [(7, F.one), (7, two)])
     assert y.is_zero()  # 1 + 2 = 0 mod 3
@@ -39,8 +52,8 @@ def test_construction_merges_repeated_exponents(F):
 def test_theta_difference_shape(F):
     t20 = theta_ij(F, N, PU, 2, 0)
     assert t20.valuation() == Fraction(-9)
-    assert [e for e, _ in t20.term_items()] == [-9 * N, -N]
-    cs = [c for _, c in t20.term_items()]
+    assert [e for e, _ in term_items(t20)] == [-9 * N, -N]
+    cs = [c for _, c in term_items(t20)]
     assert cs[0] == F.one and cs[1] == -F.one
 
 
@@ -58,7 +71,7 @@ def test_add_sub_and_zero(F):
 def test_mul_monomials_and_prec_shift(F):
     t = t_uniformizer(F, N, PU)
     tt = t * t
-    assert tt.term_items() == [(2 * N, F.one)]
+    assert term_items(tt) == [(2 * N, F.one)]
     assert tt.prec == t.prec + N  # positive valuation raises absolute precision
 
 
@@ -94,7 +107,7 @@ def test_twist_exact_and_homomorphic(F):
     rng = random.Random(3)
     t = t_uniformizer(F, N, PU)
     tw = q_twist(t + t * t, 1)
-    assert [e // N for e, _ in tw.term_items()] == [3, 6]  # char-3 power rule
+    assert [e // N for e, _ in term_items(tw)] == [3, 6]  # char-3 power rule
     th10 = theta_ij(F, N, PU, 1, 0)
     assert q_twist(th10, 2).same_terms(theta_ij(F, N, 9 * PU, 3, 2))
     for _ in range(25):
@@ -318,7 +331,7 @@ def test_poly_t_operations(F):
     th = theta(F, N, PU)
     one = CinfElem.const(F, N, PU * N, F.one)
     tm = PolyT.t_minus(th)
-    assert tm.eval(th).is_zero()
+    assert poly_eval(tm, th).is_zero()
     tw = tm.twist(1)
     assert tw.coeffs[0].same_terms(-q_twist(th, 1))
     assert tw.coeffs[1].same_terms(one)

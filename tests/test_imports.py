@@ -1,19 +1,23 @@
-"""Every name a module imports, and every parameter a function takes, is
-read, and no module reads the process environment.
+"""Every name a module imports, every parameter a function takes, and
+every function or class the package defines is read, and no module reads
+the process environment.
 
 No linter ships with the package, so this keeps the source pruned with
 the standard library alone: parse each module under src/tmotive and
 collect the names its import statements bind that it never reads
 (package __init__ files re-export by design and are skipped), the
-parameters of each function or lambda that its body never reads, and
-every read of os.environ or os.getenv, so that no environment variable
-can switch a code path behind the tests' back.
+parameters of each function or lambda that its body never reads, the
+functions and classes that neither the package nor the benchmark reads
+(helpers only tests need live in the tests), and every read of
+os.environ or os.getenv, so that no environment variable can switch a
+code path behind the tests' back.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tmotive"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tmotive"
 
 
 def _unused_imports(tree):
@@ -96,3 +100,39 @@ def test_no_environment_reads():
         reads += [f"{path.relative_to(SRC)}:{line}: {what}"
                   for line, what in _environment_reads(tree)]
     assert not reads, "environment read:\n" + "\n".join(reads)
+
+
+def _reads(tree):
+    """Every name a module could reach a definition by: loaded names,
+    attribute names, names imported from a module, and the dotted parts
+    of string constants (the benchmark's tracer names its targets as
+    strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_no_definitions_only_tests_read():
+    read = set()
+    defined = []
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= _reads(tree)
+        if path.is_relative_to(SRC):
+            defined += [(f"{path.relative_to(SRC)}:{node.lineno}", node.name)
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.ClassDef))]
+    assert defined
+    # dunder methods are read by the language itself
+    unread = [f"{where}: {name}" for where, name in defined
+              if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert not unread, "defined but read by no module:\n" + "\n".join(unread)

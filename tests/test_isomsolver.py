@@ -11,13 +11,13 @@ from tmotive.cinf import CinfElem, PolyT, q_twist, t_uniformizer
 from tmotive.anderson import make_tmotive
 from tmotive.latticemap import (GammaElem, eval_poly_matrix, gamma_from_alpha,
                                 mobius, mu13, random_gamma)
-from tmotive import isomsolver, latticemap
+from tmotive import ffield, isomsolver, latticemap
 from tmotive.isomsolver import (build_linear_system, morphism_residual, solve_iso,
                                 theorem3_check)
-from tmotive.linalg import (mat_min_prec, mat_mul, mat_solve, mat_sub,
-                            vec_rowmajor, zeros)
+from tmotive.linalg import mat_inv, mat_mul, mat_solve, zeros
 
 N, PU = 8, 200
+N5 = 24     # q^2 - 1 at q = 5
 
 
 @pytest.fixture(scope="module")
@@ -25,28 +25,39 @@ def F():
     return ambient_field(3, 1, 4)
 
 
+@pytest.fixture(scope="module")
+def F5():
+    return ambient_field(5, 1, 4)
+
+
 def t_pow(F, m):
     return t_uniformizer(F, N, PU) ** m
 
 
-def rand_small(F, rng, n, lo=3, hi=6, pu=PU):
+def rand_small(F, rng, n, lo=3, hi=6, pu=PU, ram=N):
     fq2 = [c for c in F.subfield(2) if c]
     out = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            terms = {rng.randrange(lo * N, hi * N): F.el(rng.choice(fq2))
+            terms = {rng.randrange(lo * ram, hi * ram): F.el(rng.choice(fq2))
                      for _ in range(rng.randrange(1, 3))}
-            row.append(CinfElem.from_terms(F, N, pu * N, terms.items()))
+            row.append(CinfElem.from_terms(F, ram, pu * ram, terms.items()))
         out.append(row)
     return out
+
+
+def identity_gamma(F, n):
+    one, z = FFPoly.const(F.one), FFPoly(F)
+    return GammaElem([[one if i == j else z for j in range(n)] for i in range(n)],
+                     [[z] * n for _ in range(n)], k=0)
 
 
 # -- alpha --------------------------------------------------------------------
 
 
 def test_alpha_identity(F):
-    pols = GammaElem.identity(F, 2).alpha_poly()
+    pols = identity_gamma(F, 2).alpha_poly()
     assert max(p.degree() for row in pols for p in row) == 0
     assert pols[0][0][0] == F.one and pols[0][1][0].is_zero()
 
@@ -84,7 +95,7 @@ def test_alpha_reassembly_invariant(F):
 
 def test_alpha_from_matrix_validates(F):
     rng = random.Random(2)
-    for g in (GammaElem.identity(F, 1), random_gamma(F, 2, 1, rng)):
+    for g in (identity_gamma(F, 1), random_gamma(F, 2, 1, rng)):
         back = GammaElem.from_assembled(F, g.assembled())
         assert back.G == g.G and back.H == g.H
     one, z, th = FFPoly.const(F.one), FFPoly(F), FFPoly.theta(F)
@@ -100,80 +111,160 @@ def test_alpha_from_matrix_validates(F):
         GammaElem.from_assembled(F, [[one, z, z]])                # not square
 
 
-# -- the linear system ---------------------------------------------------------
+# -- the linear system, assembled as the oracle for its structure ------------
+#
+# The library never assembles W1 and W2; these helpers build them as
+# explicit matrices over F_{q^2}[theta], so that det W1 and W1^(-1) can
+# be checked against generic elimination.
+
+
+def vec_rowmajor(a):
+    """Row-major (lexicographic) flattening to a column of entries."""
+    return [x for r in a for x in r]
+
+
+def unvec_rowmajor(v, n):
+    """Inverse of vec_rowmajor: the layout kron_left and kron_right assume."""
+    return [list(v[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def kron_left(a, zero):
+    """K with vec(a m) = K vec(m): a tensor identity in row-major layout.
+
+    zero fills the entries off the pattern; it is the zero of a's ring.
+    """
+    n = len(a)
+    out = [[zero] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i * n + k][j * n + k] = a[i][j]
+    return out
+
+
+def kron_right(a, zero):
+    """K with vec(m a) = K vec(m): block diagonal with transposed blocks."""
+    n = len(a)
+    out = [[zero] * (n * n) for _ in range(n * n)]
+    for b in range(n):
+        for i in range(n):
+            for j in range(n):
+                out[b * n + i][b * n + j] = a[j][i]
+    return out
+
+
+def assemble(system):
+    """W1 (square, of size (2k+1) n^2) and W2 ((2k+1) n^2 by n^2).
+
+    Rows: k S-type equations then k+1 M-type equations; columns vectorize
+    B, S_0..S_{k-1}, V_0..V_{k-1} row-major.  W2 carries the constant
+    right-hand side coefficients (zero on the S-rows).
+    """
+    spec, n, k = system.spec, system.n, system.k
+    nn = n * n
+    sz = (2 * k + 1) * nn
+    zero = FFPoly(spec)
+    W1 = [[zero] * sz for _ in range(sz)]
+    W2 = [[zero] * nn for _ in range(sz)]
+
+    def put(W, row0, col0, blk):
+        for i, r in enumerate(blk):
+            for j, x in enumerate(r):
+                W[row0 + i][col0 + j] = x
+
+    def scalar(c):
+        return [[c if i == j else zero for j in range(nn)] for i in range(nn)]
+
+    for i in range(k):                          # S-rows: identity on S_i
+        put(W1, i * nn, nn * (1 + i), scalar(FFPoly.const(spec.one)))
+    for i in range(k + 1):                      # M-rows
+        r0 = (k + i) * nn
+        u = [[FFPoly.const(x) for x in row] for row in system.U_hat[i]]
+        put(W1, r0, 0, kron_left(u, zero))
+        put(W2, r0, 0, kron_right([[x.frobenius(1) for x in row] for row in u], zero))
+        if i >= 1:                              # + V_{i-1}
+            put(W1, r0, nn * (k + i), scalar(FFPoly.const(spec.one)))
+        if i < k:                               # - theta V_i
+            put(W1, r0, nn * (k + 1 + i), scalar(-FFPoly.theta(spec)))
+    return W1, W2
+
+
+def test_kron_identities_brute_force(F):
+    # the defining equations of the vectorization operators, on explicit
+    # small matrices: series entries of both valuation signs, then the
+    # small nonnegative valuations of the solver's unknowns (n = 2)
+    rng = random.Random(3)
+    for n, vmin, vmax in ((2, -2, 8), (3, -2, 8), (2, 0, 4)):
+        a = rand_small(F, rng, n, vmin, vmax)
+        m = rand_small(F, rng, n, vmin, vmax)
+        zero = CinfElem.zero(F, N, PU * N)
+        va = mat_mul(kron_left(a, zero), [[x] for x in vec_rowmajor(m)])
+        direct = vec_rowmajor(mat_mul(a, m))
+        for got, want in zip(va, direct):
+            assert (got[0] - want).is_zero()
+        vb = mat_mul(kron_right(a, zero), [[x] for x in vec_rowmajor(m)])
+        direct = vec_rowmajor(mat_mul(m, a))
+        for got, want in zip(vb, direct):
+            assert (got[0] - want).is_zero()
+        assert unvec_rowmajor(vec_rowmajor(m), n) == m
+    # polynomials in theta over the field, the ring of the linear system:
+    # there both sides must agree exactly
+    for n in (2, 3):
+        a, m = ([[FFPoly(F, [F.el(rng.randrange(F.order))
+                             for _ in range(rng.randrange(4))])
+                  for _ in range(n)] for _ in range(n)] for _ in range(2))
+        vm = [[x] for x in vec_rowmajor(m)]
+        assert [r[0] for r in mat_mul(kron_left(a, FFPoly(F)), vm)] == \
+            vec_rowmajor(mat_mul(a, m))
+        assert [r[0] for r in mat_mul(kron_right(a, FFPoly(F)), vm)] == \
+            vec_rowmajor(mat_mul(m, a))
 
 
 def test_identity_gamma_system_is_identity_on_b(F):
-    sys0 = build_linear_system(GammaElem.identity(F, 1), k=0)
-    assert sys0.size() == 1
-    assert sys0.W1_sym[0][0] == FFPoly.const(F.one)
+    sys0 = build_linear_system(identity_gamma(F, 1), k=0)
+    W1, W2 = assemble(sys0)
+    assert W1 == [[FFPoly.const(F.one)]] and W2 == [[FFPoly.const(F.one)]]
     assert sys0.det_w1 == F.one
 
 
-def test_system_layout_blocks(F):
-    # independent reconstruction of the documented block layout
-    rng = random.Random(3)
-    g = random_gamma(F, 2, 1, rng)
-    sysm = build_linear_system(g, k=1)
-    n, k = 2, 1
-    nn = n * n
-    th = FFPoly.theta(F)
-    for i in range(k * nn):                     # S-rows: [0 | I | 0]
-        for j in range(sysm.size()):
-            want_one = (j == nn + i)
-            assert (sysm.W1_sym[i][j] == FFPoly.const(F.one)) == want_one
-            if not want_one:
-                assert sysm.W1_sym[i][j].is_zero() or j < nn or j >= nn + k * nn
-    # M-row V-band: -theta on the diagonal block, identity on the subdiagonal
-    r0 = k * nn
-    for t in range(nn):
-        assert sysm.W1_sym[r0 + t][nn * (1 + k) + t] == -th
-        assert sysm.W1_sym[r0 + nn + t][nn * (1 + k) + t] == FFPoly.const(F.one)
-    # B-column blocks carry the anchor coefficients
-    anchor00 = sysm.U_hat[0][0][0]
-    assert sysm.W1_sym[r0][0] == (FFPoly.const(anchor00) if not anchor00.is_zero()
-                                  else FFPoly(F))
-
-
-def test_det_w1_constant_and_norm_relation(F):
+def test_det_w1_constant_and_norm_relation(F, F5):
+    # the closed form (-1)^(kn) det(anchor)^n against Bareiss elimination
+    # of the assembled W1, exactly, beyond q = 3 where F_3^* = {+-1}
+    # would hide a wrong sign or power
     rng = random.Random(4)
-    for n in (1, 2):
-        for k in (0, 1, 2):
-            g = random_gamma(F, n, k, rng)
-            sysm = build_linear_system(g, k=k)
-            d = sysm.det_w1
-            assert not d.is_zero() and d.in_subfield(2)
-            # norm of det W1 inverts det(gamma)^n under this anchoring
-            assert sysm.det_w1_norm() * g.det_constant() ** n == F.one
-            # det W1 is (up to sign) the n-th power of det of the anchor
-            anchor = [[FFPoly(F, [sysm.U_hat[d2][i][j]
-                                  for d2 in range(len(sysm.U_hat))])
-                       for j in range(n)] for i in range(n)]
-            da = ffpoly_det(anchor)
-            assert da.is_constant()
-            c = da.constant() ** n
-            assert d == c or d == -c
+    for spec in (F, F5):
+        for n in (1, 2):
+            for k in (0, 1, 2):
+                for _ in range(2):
+                    g = random_gamma(spec, n, k, rng)
+                    sysm = build_linear_system(g, k=k)
+                    d = sysm.det_w1
+                    det = ffpoly_det(assemble(sysm)[0])
+                    assert det.is_constant() and d == det.constant()
+                    assert not d.is_zero() and d.in_subfield(2)
+                    # norm of det W1 inverts det(gamma)^n under this anchoring
+                    assert d * d.frobenius(1) * g.det_constant() ** n == spec.one
 
 
-def test_w1_inverse_application_matches_generic_solve(F):
+def test_w1_inverse_application_matches_generic_solve(F, F5):
     # the telescoped solve must equal a direct Gauss solve on the
-    # evaluated matrix: two independent routes to W1^(-1) rhs
+    # evaluated assembled matrix: two independent routes to W1^(-1) rhs
     rng = random.Random(5)
     n, k = 2, 1
-    g = random_gamma(F, n, k, rng)
-    sysm = build_linear_system(g, k=k)
-    from tmotive.linalg import mat_inv
-    alpha_hat = sysm.alpha_hat_eval(N, PU)
-    ahi = mat_inv(alpha_hat)
-    s_rhs = [rand_small(F, rng, n, lo=1, hi=4) for _ in range(k)]
-    m_rhs = [rand_small(F, rng, n, lo=1, hi=4) for _ in range(k + 1)]
-    B, S, V = sysm.apply_w1_inverse(s_rhs, m_rhs, ahi)
-    w1 = eval_poly_matrix(sysm.W1_sym, F, N, PU * N)
-    rhs_vec = [[x] for m in s_rhs + m_rhs for x in vec_rowmajor(m)]
-    sol = mat_solve(w1, rhs_vec)
-    flat = [x for m in ([B] + S + V) for x in vec_rowmajor(m)]
-    for got, (want,) in zip(flat, sol):
-        assert (got - want).is_zero()
+    for spec, ram, pu in ((F, N, PU), (F5, N5, 60)):
+        g = random_gamma(spec, n, k, rng)
+        sysm = build_linear_system(g, k=k)
+        ahi = mat_inv(eval_poly_matrix(sysm.anchor, spec, ram, pu * ram))
+        s_rhs = [rand_small(spec, rng, n, 1, 4, pu, ram) for _ in range(k)]
+        m_rhs = [rand_small(spec, rng, n, 1, 4, pu, ram) for _ in range(k + 1)]
+        B, S, V = sysm.apply_w1_inverse(s_rhs, m_rhs, ahi)
+        w1 = eval_poly_matrix(assemble(sysm)[0], spec, ram, pu * ram)
+        rhs_vec = [[x] for m in s_rhs + m_rhs for x in vec_rowmajor(m)]
+        sol = mat_solve(w1, rhs_vec)
+        flat = [x for m in ([B] + S + V) for x in vec_rowmajor(m)]
+        assert len(flat) == len(sol)
+        for got, (want,) in zip(flat, sol):
+            assert (got - want).is_zero()
 
 
 def test_first_order_b_matches_w2(F):
@@ -181,17 +272,36 @@ def test_first_order_b_matches_w2(F):
     rng = random.Random(6)
     n, k = 1, 1
     g = random_gamma(F, n, k, rng)
-    sysm = build_linear_system(g, k=k)
+    W1, W2 = assemble(build_linear_system(g, k=k))
     A = rand_small(F, rng, n)
     motive = make_tmotive(A)
     sol = solve_iso(motive, g, k=k)
-    w1 = eval_poly_matrix(sysm.W1_sym, F, N, PU * N)
-    w2 = eval_poly_matrix(sysm.W2_sym, F, N, PU * N)
+    w1 = eval_poly_matrix(W1, F, N, PU * N)
+    w2 = eval_poly_matrix(W2, F, N, PU * N)
     rhs = mat_mul(w2, [[x] for x in vec_rowmajor(A)])
     lin = mat_solve(w1, rhs)
     b_lin = lin[0][0]
     b_full = sol.B[0][0]
     assert (b_full - b_lin).valuation() > b_lin.valuation()
+
+
+def test_solve_takes_no_determinant_above_gamma_size(F, monkeypatch):
+    # det W1 comes from its closed form: no elimination of the
+    # (2k+1) n^2 square system (20 x 20 here) runs during a solve
+    rng = random.Random(12)
+    n, k = 2, 2
+    g = random_gamma(F, n, k, rng)
+    A = rand_small(F, rng, n, pu=60)
+    sizes = Counter()
+
+    def counting_det(m):
+        sizes[len(m)] += 1
+        return ffpoly_det(m)
+
+    for module in (ffield, latticemap, isomsolver):
+        monkeypatch.setattr(module, "ffpoly_det", counting_det)
+    solve_iso(make_tmotive(A), g, k=k)
+    assert sizes and max(sizes) <= 2 * n
 
 
 # -- the solver -----------------------------------------------------------------
@@ -200,7 +310,7 @@ def test_first_order_b_matches_w2(F):
 def test_identity_gamma_solves_exactly(F):
     a = t_pow(F, 3)
     motive = make_tmotive([[a]])
-    sol = solve_iso(motive, GammaElem.identity(F, 1))
+    sol = solve_iso(motive, identity_gamma(F, 1))
     assert sol.B[0][0] == a
     assert all(v == inf for v in sol.residuals.values())
     assert sol.det_phi_is_unit(Fraction(PU - 10))
@@ -222,7 +332,7 @@ def test_solver_determinism(F):
             assert p1 == p2
 
 
-def test_solver_residuals_and_units(F):
+def test_solver_residuals_and_units(F, F5):
     rng = random.Random(8)
     tol = Fraction(PU - 10)
     for n, k in ((1, 0), (1, 2), (2, 1)):
@@ -234,6 +344,17 @@ def test_solver_residuals_and_units(F):
         assert sol.det_phi_is_unit(tol)
         # q = 3: det(gamma) = +-1, so the checked and the literal identity agree
         assert sol.det_consistent() and sol.det_literal()
+    # q = 5 at prec 60; the literal identity is not asserted there: it
+    # fails whenever det(gamma)^(2n) != 1, which F_3^* = {+-1} never shows
+    tol = Fraction(60 - 10)
+    for n, k in ((1, 1), (2, 1)):
+        A = rand_small(F5, rng, n, pu=60, ram=N5)
+        g = random_gamma(F5, n, k, rng)
+        sol = solve_iso(make_tmotive(A), g, k=k)
+        assert all(v >= tol for v in sol.residuals.values())
+        assert sol.residuals_ok(tol)
+        assert sol.det_phi_is_unit(tol)
+        assert sol.det_consistent()
 
 
 def test_picard_step_cap_raises(F, monkeypatch):
@@ -278,7 +399,7 @@ def test_nonzero_ansatz_blocks_for_degree_one(F):
 def test_morphism_residual_detects_corruption(F):
     a = t_pow(F, 3)
     motive = make_tmotive([[a]])
-    sol = solve_iso(motive, GammaElem.identity(F, 1))
+    sol = solve_iso(motive, identity_gamma(F, 1))
     Phi = [row[:] for row in sol.Phi]
     bump = CinfElem.monomial(F, N, PU * N, 2 * N, F.one)
     Phi[0][0] = Phi[0][0] + PolyT.const(bump)

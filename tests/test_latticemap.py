@@ -5,15 +5,15 @@ from math import inf
 import pytest
 
 from tmotive.errors import GammaShapeError, RecoveryError, SingularMatrixError
-from tmotive.ffield import FFPoly, ambient_field, omega_split
+from tmotive.ffield import FFElem, FFPoly, ambient_field, omega_split
 from tmotive.cinf import CinfElem, c_conj, c_inv, q_twist, theta_ij, t_uniformizer
 from tmotive.anderson import exp_coeffs, exp_eval_scalar, make_tmotive
-from tmotive.linalg import mat_inv
+from tmotive.linalg import mat_inv, mat_mul
 from tmotive.latticemap import (GammaElem, Lattice, SiegelMatrix, carlitz_period,
                                 d10_series, gamma_from_alpha, lattice_of,
                                 lattices_equal, mobius, mobius_raw, mu13, mu34,
                                 newton_polygon_root_valuation,
-                                perturbed_root, random_gamma, random_nonstabilizer,
+                                perturbed_root, random_gamma,
                                 recover_change_of_basis, siegel_of)
 
 N, PU = 8, 200
@@ -128,8 +128,8 @@ def test_degenerate_rows_rejected(F):
 def _omega_split_series(x):
     spec = x.spec
     p_terms, q_terms = [], []
-    for e, c in x.term_items():
-        a, b = omega_split(c)
+    for e, c in zip(x.exps, x.coeffs):
+        a, b = omega_split(FFElem(spec, int(c)))
         p_terms.append((e, a))
         q_terms.append((e, b))
     return (CinfElem.from_terms(spec, x.ram, x.prec, p_terms),
@@ -322,7 +322,8 @@ def test_stabilizer_fixes_base_point_exactly(F):
 
 
 def test_identity_action(F):
-    g = GammaElem.identity(F, 2)
+    one, z = FFPoly.const(F.one), FFPoly(F)
+    g = gamma_from_alpha(F, [[one, z], [z, one]], k=0)
     Z = SiegelMatrix([[CinfElem.const(F, N, PU * N, F.omega), t_pow(F, 2)],
                       [t_pow(F, 3), CinfElem.const(F, N, PU * N, F.omega)]])
     img = mobius(g, Z)
@@ -346,6 +347,31 @@ def test_action_composition_random(F):
             rhs = mobius(g1, mobius(g2, Zs))
             assert all(x.same_terms(y) for rl, rr in zip(lhs.Z, rhs.Z)
                        for x, y in zip(rl, rr))
+
+
+def random_nonstabilizer(spec, n, k, rng):
+    """Invertible 2n x 2n polynomial matrix over F_q[theta] off the block shape."""
+    fq = spec.subfield(1)
+    m = 2 * n
+    one = FFPoly.const(spec.one)
+    z = FFPoly(spec)
+    acc = [[one if i == j else z for j in range(m)] for i in range(m)]
+    for _ in range(4):
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        while j == i:
+            j = rng.randrange(m)
+        c = spec.el(rng.choice([x for x in fq if x != 0]))
+        d = rng.randrange(0, k + 1)
+        tv = [[one if a == b else z for b in range(m)] for a in range(m)]
+        tv[i][j] = FFPoly(spec, [spec.zero] * d + [c])
+        acc = mat_mul(acc, tv)
+    # reject the (unlikely) block-shaped outcome
+    tl = [r[:n] for r in acc[:n]]
+    br = [r[n:] for r in acc[n:]]
+    if all(tl[i][j] == br[i][j] for i in range(n) for j in range(n)):
+        acc[0][0] = acc[0][0] + FFPoly.theta(spec)
+    return acc
 
 
 def test_nonstabilizer_moves_base_point(F):

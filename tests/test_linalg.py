@@ -4,10 +4,9 @@ import pytest
 
 from tmotive import linalg
 from tmotive.errors import SingularMatrixError
-from tmotive.ffield import FFPoly, ambient_field
+from tmotive.ffield import ambient_field
 from tmotive.cinf import CinfElem, PolyT, theta
-from tmotive.linalg import (kron_left, kron_right, mat_det, mat_inv, mat_mul,
-                            mat_solve, pm_det, unvec_rowmajor, vec_rowmajor)
+from tmotive.linalg import mat_det, mat_inv, mat_mul, mat_solve, pm_det
 
 N, PU = 8, 120
 
@@ -88,41 +87,6 @@ def test_singular_raises(F):
     one = CinfElem.const(F, N, PU * N, F.one)
     with pytest.raises(SingularMatrixError):
         mat_inv([[one, one], [one, one]])
-
-
-def rand_ffpoly_mat(F, rng, n, deg=2):
-    return [[FFPoly(F, [F.el(rng.randrange(F.order)) for _ in range(rng.randrange(deg + 2))])
-             for _ in range(n)] for _ in range(n)]
-
-
-def test_kron_identities_brute_force(F):
-    # the defining equations of the vectorization operators, on explicit
-    # small matrices: series entries of both valuation signs, then the
-    # small nonnegative valuations of the solver's unknowns (n = 2)
-    rng = random.Random(3)
-    for n, vmin, vmax in ((2, -2, 8), (3, -2, 8), (2, 0, 4)):
-        a = rand_mat(F, rng, n, vmin, vmax)
-        m = rand_mat(F, rng, n, vmin, vmax)
-        zero = CinfElem.zero(F, N, PU * N)
-        va = mat_mul(kron_left(a, zero), [[x] for x in vec_rowmajor(m)])
-        direct = vec_rowmajor(mat_mul(a, m))
-        for got, want in zip(va, direct):
-            assert (got[0] - want).is_zero()
-        vb = mat_mul(kron_right(a, zero), [[x] for x in vec_rowmajor(m)])
-        direct = vec_rowmajor(mat_mul(m, a))
-        for got, want in zip(vb, direct):
-            assert (got[0] - want).is_zero()
-        assert unvec_rowmajor(vec_rowmajor(m), n) == m
-    # polynomials in theta over the field, the ring of the linear system:
-    # there both sides must agree exactly
-    for n in (2, 3):
-        a = rand_ffpoly_mat(F, rng, n)
-        m = rand_ffpoly_mat(F, rng, n)
-        vm = [[x] for x in vec_rowmajor(m)]
-        assert [r[0] for r in mat_mul(kron_left(a, FFPoly(F)), vm)] == \
-            vec_rowmajor(mat_mul(a, m))
-        assert [r[0] for r in mat_mul(kron_right(a, FFPoly(F)), vm)] == \
-            vec_rowmajor(mat_mul(m, a))
 
 
 def test_pm_det_2x2(F):
