@@ -2,8 +2,10 @@
 
 Layers, bottom to top:
 
-* ``ffield``     ambient finite field with table-driven arithmetic
-* ``cinf``       truncated Puiseux series over the ambient field
+* ``ffield``     ambient finite field with table-driven arithmetic, and
+                 ``Poly``, the dense-polynomial arithmetic of both rings
+* ``cinf``       truncated Puiseux series over the ambient field, and
+                 ``PolyT``, the ``Poly`` ring in T over the series
 * ``linalg``     matrices over every ring above, solving
 * ``anderson``   module data, exponential coefficients and evaluation
 * ``latticemap`` period, perturbed roots, lattices, Siegel matrices, mobius

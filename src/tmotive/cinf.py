@@ -18,6 +18,9 @@ precision; the only lossy step is truncation.  Precision propagation:
 
 Recomputing a pipeline at higher precision and truncating reproduces
 the lower-precision run bit for bit; the test suite checks this.
+
+PolyT, the polynomials in the commuting variable T over these series,
+takes its ring arithmetic from ffield.Poly.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GammaShapeError, NonContractionError, PrecisionError
-from .ffield import FFElem, find_root_in_field
+from .ffield import FFElem, Poly, find_root_in_field
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -458,25 +461,14 @@ def c_root(x, m):
 # polynomials in the commuting variable T with series coefficients
 
 
-class PolyT:
+class PolyT(Poly):
     """Polynomial in T over the truncated series ring.
 
     T commutes with everything and is fixed by the Frobenius twist; the
-    twist acts on coefficients only.
+    twist acts on coefficients only.  The ring arithmetic is Poly's.
     """
 
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.spec = spec
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls(c.spec, (c,))
+    __slots__ = ()
 
     @classmethod
     def t_minus(cls, x):
@@ -484,65 +476,9 @@ class PolyT:
         one = CinfElem.const(x.spec, x.ram, x.prec, x.spec.one)
         return cls(x.spec, (-x, one))
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        raise IndexError(i)
-
-    def coeff(self, i, ram=1, prec=None):
-        # T-coefficients beyond the stored length are structurally zero,
-        # so the fabricated zero carries the precision clamp, not a guess
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        prec = prec if prec is not None else _PREC_CAP
-        ram = self.coeffs[0].ram if self.coeffs else ram
-        return CinfElem.zero(self.spec, ram, prec)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyT(self.spec, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyT(self.spec, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return PolyT(self.spec, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, CinfElem):
-            return PolyT(self.spec, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return PolyT(self.spec)
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        return PolyT(self.spec, out)
-
     def twist(self, i):
         return PolyT(self.spec, [q_twist(c, i) for c in self.coeffs])
-
-    def truncate(self, prec):
-        return PolyT(self.spec, [c.truncate(prec) for c in self.coeffs])
 
     def min_valuation(self):
         vals = [c.valuation() for c in self.coeffs]
         return min(vals) if vals else inf
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyT) and len(self.coeffs) == len(other.coeffs)
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-    def __repr__(self):
-        return f"PolyT(deg={self.degree()})"

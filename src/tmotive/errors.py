@@ -12,7 +12,7 @@ class TMotiveError(Exception):
 
 
 class FieldError(TMotiveError):
-    """Ambient finite field cannot satisfy a request (missing root, bad modulus)."""
+    """Ambient finite field cannot satisfy a request (missing root, no irreducible modulus)."""
 
 
 class FieldMismatchError(TMotiveError):

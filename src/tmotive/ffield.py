@@ -10,6 +10,11 @@ O(1) table lookups.  The same tables back the series kernels.
 
 q = p^s must be odd: the stabilizer block shape (G, w^2 H; H, G) needs
 an omega with omega^2 in F_q, which no even-q field provides.
+
+Poly is the one dense-polynomial arithmetic of the package, shared by
+both of its polynomial rings: FFPoly here (F_q[theta], for the block
+group elements and their exact determinants) and cinf.PolyT (the
+T-polynomials over the series).
 """
 
 from functools import lru_cache
@@ -85,10 +90,6 @@ def _irreducible(mod, p):
     """Trial division of a monic polynomial against all monic polynomials
     of degree at most deg/2.  Feasible for the desk-scale degrees used here."""
     deg = len(mod) - 1
-    if deg < 1 or mod[-1] != 1:
-        return False
-    if any(c % p != c for c in mod):
-        return False
     for d in range(1, deg // 2 + 1):
         for packed in range(p ** d):
             div = _digits(packed, p, d) + (1,)
@@ -139,7 +140,7 @@ class FieldSpec:
     Addition of nonzero x, y is exp[(log x + Z((log y - log x) mod Q-1)) mod Q-1].
     """
 
-    def __init__(self, p, s=1, D=None, modulus=None):
+    def __init__(self, p, s=1, D=None):
         if not _is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if s < 1:
@@ -156,14 +157,7 @@ class FieldSpec:
         self.q = q
         self.D = D
         self.order = p ** D
-        if modulus is None:
-            modulus = default_modulus(p, D)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != D + 1:
-            raise FieldError("modulus must have degree D")
-        if not _irreducible(tuple(modulus), p):
-            raise FieldError("modulus is reducible over F_p")
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(default_modulus(p, D))
         self._build_tables()
         self._subfield_cache = {}
 
@@ -335,7 +329,7 @@ class FieldSpec:
         """Fixed element of F_{q^2} - F_q whose square lies in F_q.
 
         Chosen as the first packed value satisfying both conditions, so the
-        choice is reproducible per (p, s, D, modulus).
+        choice is reproducible per (p, s, D).
         """
         if not hasattr(self, "_omega"):
             for x in self.subfield(2):
@@ -353,17 +347,14 @@ class FieldSpec:
         if self is not other:
             raise FieldMismatchError("elements from different ambient fields")
 
-    def to_json(self):
-        return {"p": self.p, "s": self.s, "D": self.D, "modulus": list(self.modulus)}
-
     def __repr__(self):
         return f"FieldSpec(p={self.p}, s={self.s}, D={self.D})"
 
 
 @lru_cache(maxsize=8)
-def ambient_field(p, s=1, D=None, modulus=None):
-    """Shared FieldSpec per (p, s, D, modulus); table building runs once."""
-    return FieldSpec(p, s, D, list(modulus) if modulus else None)
+def ambient_field(p, s=1, D=None):
+    """Shared FieldSpec per (p, s, D); table building runs once."""
+    return FieldSpec(p, s, D)
 
 
 class FFElem:
@@ -469,14 +460,17 @@ def omega_split(x):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in theta over the ambient field
+# dense polynomials
 
 
-class FFPoly:
-    """Dense polynomial with FFElem coefficients, ascending degree.
+class Poly:
+    """Dense polynomial over a coefficient ring, ascending degree.
 
-    Used for entries of the block group elements over F_q[theta], for the
-    symbolic linear-system matrix and for exact determinants (Bareiss).
+    The arithmetic asks nothing of a coefficient but +, -, * and is_zero,
+    so one class serves both polynomial rings of the package: FFPoly over
+    the ambient field and cinf.PolyT over the series.  Trailing
+    coefficients that are zero (to precision, for series) are trimmed on
+    construction, and every result has the class of its left operand.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -492,15 +486,61 @@ class FFPoly:
     def const(cls, c):
         return cls(c.spec, (c,))
 
-    @classmethod
-    def theta(cls, spec):
-        return cls(spec, (spec.zero, spec.one))
-
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
         return not self.coeffs
+
+    # past the shorter operand the longer one's tail is copied: adding a
+    # zero there gives the same element, at the cost of a series merge
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        tail = a[len(b):] + b[len(a):]
+        return type(self)(self.spec, [x + y for x, y in zip(a, b)] + list(tail))
+
+    def __sub__(self, other):
+        a, b = self.coeffs, other.coeffs
+        tail = list(a[len(b):]) + [-y for y in b[len(a):]]
+        return type(self)(self.spec, [x - y for x, y in zip(a, b)] + tail)
+
+    def __neg__(self):
+        return type(self)(self.spec, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):  # a scalar of the coefficient ring
+            return type(self)(self.spec, [c * other for c in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return type(self)(self.spec)
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                p = a * b
+                out[i + j] = p if out[i + j] is None else out[i + j] + p
+        return type(self)(self.spec, out)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def to_json(self):
+        return [c.to_json() for c in self.coeffs]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.coeffs)})"
+
+
+class FFPoly(Poly):
+    """Polynomial in theta over the ambient field.
+
+    Used for the entries of the block group elements over F_q[theta] and
+    for their exact determinants (Bareiss) and unit inverses.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def theta(cls, spec):
+        return cls(spec, (spec.zero, spec.one))
 
     def is_constant(self):
         return len(self.coeffs) <= 1
@@ -510,30 +550,6 @@ class FFPoly:
 
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.spec.zero
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(self.spec, [self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(self.spec, [self[i] - other[i] for i in range(n)])
-
-    def __neg__(self):
-        return FFPoly(self.spec, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, FFElem):
-            return FFPoly(self.spec, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return FFPoly(self.spec)
-        out = [self.spec.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return FFPoly(self.spec, out)
 
     def divmod(self, other):
         if other.is_zero():
@@ -558,23 +574,8 @@ class FFPoly:
             raise ArithmeticError("inexact polynomial division")
         return q
 
-    def map_coeffs(self, f):
-        return FFPoly(self.spec, [f(c) for c in self.coeffs])
-
-    def frobenius(self, i=1):
-        return self.map_coeffs(lambda c: c.frobenius(i))
-
     def in_prime_subfield(self):
         return all(c.in_subfield(1) for c in self.coeffs)
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-    def __eq__(self, other):
-        return isinstance(other, FFPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"FFPoly({list(self.coeffs)})"
 
 
 def ffpoly_adjugate(rows):

@@ -166,10 +166,6 @@ class SiegelMatrix:
     def __init__(self, Z):
         self.Z = [list(r) for r in Z]
 
-    @property
-    def n(self):
-        return len(self.Z)
-
 
 def lattice_of(motive, coeffs=None):
     """Rows are the perturbed roots at the standard anchors, scaled by 1/y0.

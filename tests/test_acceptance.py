@@ -45,3 +45,14 @@ def test_criterion_8_reruns_above_working_precision(monkeypatch):
     monkeypatch.setattr(acceptance, "_pipeline_artifacts", spy)
     acceptance.criterion_8(Config(prec=300))
     assert calls == [300, 450]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "solve_iso stops as soon as the residual vanishes, so the final update "
+    "W1^-1(-residual) is never formed and B keeps the precision of the last "
+    "applied update: at n = 2, k = 1 it declares 384 numerators where the "
+    "final update certifies 368, and the rerun at prec 90 differs from B2 "
+    "and phi2 at exponent 368"))
+def test_criterion_8_at_prec_60():
+    res = acceptance.criterion_8(Config(prec=60))
+    assert res.passed, res.details

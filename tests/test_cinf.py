@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import inf
@@ -6,7 +7,7 @@ import pytest
 
 from tmotive import cinf
 from tmotive.errors import PrecisionError
-from tmotive.ffield import FFElem, ambient_field, find_root_in_field
+from tmotive.ffield import FFElem, FFPoly, ambient_field, find_root_in_field
 from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
                           t_uniformizer)
 
@@ -341,3 +342,86 @@ def test_poly_t_operations(F):
     assert prod.coeffs[0].same_terms(-(th * th))
     s = tm + tm
     assert s.coeffs[0].same_terms(th.scale(F.scalar(-2)))
+
+
+# The oracle for Poly's arithmetic over the series: each missing
+# T-coefficient of an operand is a zero at the precision clamp, added in.
+
+
+def _padded_coeff(p, i):
+    if i < len(p.coeffs):
+        return p.coeffs[i]
+    ram = p.coeffs[0].ram if p.coeffs else 1
+    return CinfElem.zero(p.spec, ram, cinf._PREC_CAP)
+
+
+def _padded(x, y, op):
+    n = max(len(x.coeffs), len(y.coeffs))
+    return PolyT(x.spec, [op(_padded_coeff(x, i), _padded_coeff(y, i)) for i in range(n)])
+
+
+def _oracle_mul(x, y):
+    if x.is_zero() or y.is_zero():
+        return PolyT(x.spec)
+    out = [None] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            p = a * b
+            out[i + j] = p if out[i + j] is None else out[i + j] + p
+    return PolyT(x.spec, out)
+
+
+def _oracle_eq(x, y):
+    return len(x.coeffs) == len(y.coeffs) and all(a == b for a, b in zip(x.coeffs, y.coeffs))
+
+
+def rand_poly_t(F, rng, deg):
+    """Series coefficients of varying precision; some middle ones are zero
+    to precision."""
+    cs = [rand_series(F, rng, prec=rng.randrange(20, PU) * N) for _ in range(deg + 1)]
+    for i in range(1, deg):
+        if rng.random() < 0.3:
+            cs[i] = CinfElem.zero(F, N, rng.randrange(20, PU) * N)
+    return PolyT(F, cs)
+
+
+def test_poly_t_arithmetic_matches_zero_padded_oracle(F):
+    rng = random.Random(11)
+    for _ in range(30):
+        da, db = rng.sample(range(-1, 5), 2)
+        a, b = rand_poly_t(F, rng, da), rand_poly_t(F, rng, db)
+        for x, y in ((a, b), (b, a)):
+            # PolyT equality is CinfElem's, so the precision of every
+            # coefficient must match too
+            assert x + y == _padded(x, y, operator.add)
+            assert x - y == _padded(x, y, operator.sub)
+            assert x * y == _oracle_mul(x, y)
+        assert not (a == b) and not _oracle_eq(a, b)
+        assert a == PolyT(F, a.coeffs) and _oracle_eq(a, PolyT(F, a.coeffs))
+        if a.coeffs:
+            lower = PolyT(F, (a.coeffs[0].truncate(a.coeffs[0].prec - 1),) + a.coeffs[1:])
+            assert not (a == lower) and not _oracle_eq(a, lower)
+        assert (a - a).is_zero()
+    assert not (FFPoly(F) == PolyT(F)) and not (PolyT(F) == FFPoly(F))
+
+
+def test_poly_t_sum_merges_only_the_common_coefficients(F, monkeypatch):
+    # a sum of degrees a < b runs the merge-add on the a + 1 common
+    # coefficients and copies the longer operand's tail
+    rng = random.Random(12)
+    calls = []
+    merge = cinf._kernels.series_add_merge
+
+    def spy(*args):
+        calls.append(1)
+        return merge(*args)
+
+    monkeypatch.setattr(cinf._kernels, "series_add_merge", spy)
+    for da, db in ((0, 3), (1, 4), (2, 2)):
+        a = PolyT(F, [rand_series(F, rng) for _ in range(da + 1)])
+        b = PolyT(F, [rand_series(F, rng) for _ in range(db + 1)])
+        for op in (operator.add, operator.sub):
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                op(x, y)
+                assert len(calls) == min(da, db) + 1

@@ -181,7 +181,8 @@ def assemble(system):
         r0 = (k + i) * nn
         u = [[FFPoly.const(x) for x in row] for row in system.U_hat[i]]
         put(W1, r0, 0, kron_left(u, zero))
-        put(W2, r0, 0, kron_right([[x.frobenius(1) for x in row] for row in u], zero))
+        uq = [[FFPoly.const(x.frobenius(1)) for x in row] for row in system.U_hat[i]]
+        put(W2, r0, 0, kron_right(uq, zero))
         if i >= 1:                              # + V_{i-1}
             put(W1, r0, nn * (k + i), scalar(FFPoly.const(spec.one)))
         if i < k:                               # - theta V_i
