@@ -5,21 +5,26 @@ numerators sorted ascending, packed nonzero field coefficients.  Field
 arithmetic runs through the log / exp / Zech tables of the owning
 FieldSpec.
 
-Dense products accumulate lane-packed digit words (one integer add per
-product term) when the field provides a lane table (D <= 4), falling
-back to Zech addition otherwise.  Both entry points take the same
-twelve arguments, so a caller or tracer handles them alike; the tests
-check them against a schoolbook product and merge on random inputs.
+A product has one path for every field and every window.  Each product
+term adds the lane word of its coefficient (its D base-p digits in lanes
+of 64 // D bits, FieldSpec.lane_exp_np) into its exponent's slot, one
+integer add per term; the lanes are reduced mod p after every block of
+rows that could overflow one, and the touched slots are repacked base p
+at the end.  A slot is the exponent's offset from the lowest product
+exponent, or, in windows wider than _DENSE_WINDOW (high-valuation tails
+are very sparse), its rank among the exponents that occur below cap.
+Both entry points take the same twelve arguments, so a caller or tracer
+handles them alike; the tests check them against a schoolbook product
+and merge on random inputs.
 """
 
 import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# dense accumulation window cap; above this the pairwise path is used
-# (high-valuation tails are very sparse)
+# widest window accumulated by offset; wider ones get a slot per
+# exponent that occurs
 _DENSE_WINDOW = 1 << 17
-_LANE_MASK = (1 << 16) - 1
 
 
 def _add_arrays(a, b, logt, expt, zecht, qm1):
@@ -55,15 +60,11 @@ def series_add_merge(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap
     return ee[keep], cc[keep]
 
 
-def _repack_lanes(acc, base, p, D):
-    """Reduce 16-bit digit lanes mod p and repack to field indices."""
-    packed = np.zeros(len(acc), dtype=np.int64)
-    mult = 1
-    for d in range(D):
-        packed += ((acc >> (16 * d)) & _LANE_MASK) % p * mult
-        mult *= p
-    nz = np.nonzero(packed)[0]
-    return nz + base, packed[nz]
+def _reduce_lanes(words, p, D, bits, radix):
+    """Each lane of words mod p, recombined with digit d weighted radix**d."""
+    d = np.arange(D, dtype=np.int64)
+    digits = (words[:, None] >> (bits * d)) & ((1 << bits) - 1)
+    return digits % p @ radix ** d
 
 
 def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
@@ -76,63 +77,29 @@ def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
     window = int(cap) - base
     if window <= 0:
         return _EMPTY.copy(), _EMPTY.copy()
+    occ = None  # a wide window's offsets that occur; a slot is a rank in it
+    if window > _DENSE_WINDOW:
+        offsets = (e1[:, None] + (e2[None, :] - base)).ravel()
+        occ = np.unique(offsets[offsets < window])
+    bits = 64 // D
+    # a lane holds 2**bits - 1; each row adds at most p - 1 to it, on top
+    # of the at most p - 1 that the last reduction left
+    block = ((1 << bits) - 1) // (p - 1) - 1
     l1 = logt[c1]
     l2 = logt[c2]
-    # a 16-bit digit lane sums at most len(e1) products, each digit <= p - 1
-    if window <= _DENSE_WINDOW and lane_exp is not None and (p - 1) * len(e1) <= _LANE_MASK:
-        acc = np.zeros(window, dtype=np.int64)
-        for i in range(len(e1)):
-            pos = e2 + (int(e1[i]) - base)
-            m = pos < window
-            if not m.any():
-                continue
-            acc[pos[m]] += lane_exp[(l1[i] + l2[m]) % qm1]
-        return _repack_lanes(acc, base, p, D)
-    if window <= _DENSE_WINDOW:
-        acc = np.zeros(window, dtype=np.int64)
-        for i in range(len(e1)):
-            pos = e2 + (int(e1[i]) - base)
-            m = pos < window
-            if not m.any():
-                continue
-            prod = expt[(l1[i] + l2[m]) % qm1]
-            sel = pos[m]
-            acc[sel] = _add_arrays(acc[sel], prod, logt, expt, zecht, qm1)
-        nz = np.nonzero(acc)[0]
-        return nz + base, acc[nz]
-    # sparse pairwise path: collect, sort, reduce equal exponents
-    pe = (e1[:, None] + e2[None, :]).ravel()
-    pc = expt[(l1[:, None] + l2[None, :]).ravel() % qm1]
-    m = pe < cap
-    pe, pc = pe[m], pc[m]
-    if len(pe) == 0:
-        return _EMPTY.copy(), _EMPTY.copy()
-    order = np.argsort(pe, kind="stable")
-    pe, pc = pe[order], pc[order]
-    out_e = []
-    out_c = []
-    cur_e = int(pe[0])
-    cur_c = int(pc[0])
-    for k in range(1, len(pe)):
-        if int(pe[k]) == cur_e:
-            cur_c = _scalar_add(cur_c, int(pc[k]), logt, expt, zecht, qm1)
-        else:
-            if cur_c:
-                out_e.append(cur_e)
-                out_c.append(cur_c)
-            cur_e, cur_c = int(pe[k]), int(pc[k])
-    if cur_c:
-        out_e.append(cur_e)
-        out_c.append(cur_c)
-    return np.asarray(out_e, dtype=np.int64), np.asarray(out_c, dtype=np.int64)
-
-
-def _scalar_add(a, b, logt, expt, zecht, qm1):
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    z = zecht[(logt[b] - logt[a]) % qm1]
-    if z < 0:
-        return 0
-    return int(expt[(logt[a] + z) % qm1])
+    acc = np.zeros(window if occ is None else len(occ), dtype=np.int64)
+    for i in range(len(e1)):
+        if i and i % block == 0:
+            nz = np.flatnonzero(acc)
+            acc[nz] = _reduce_lanes(acc[nz], p, D, bits, 1 << bits)
+        pos = e2 + (int(e1[i]) - base)
+        m = pos < window
+        if not m.any():
+            continue
+        slots = pos[m] if occ is None else np.searchsorted(occ, pos[m])
+        acc[slots] += lane_exp[(l1[i] + l2[m]) % qm1]
+    nz = np.flatnonzero(acc)
+    coeffs = _reduce_lanes(acc[nz], p, D, bits, p)
+    keep = coeffs != 0
+    exps = nz if occ is None else occ[nz]
+    return exps[keep] + base, coeffs[keep]

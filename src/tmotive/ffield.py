@@ -5,8 +5,9 @@ element omega in F_{q^2} - F_q, the roots that c_root takes of leading
 coefficients (the period's among them), and all series coefficients.  Elements are
 stored as integers in [0, p^D) packing the coefficient vector base p
 (low degree first).  A FieldSpec builds discrete log / exp / Zech tables
-once, after which multiplication, inversion, addition and Frobenius are
-O(1) table lookups.  The same tables back the series kernels.
+and the digit-lane words of exp once, after which multiplication,
+inversion, addition and Frobenius are O(1) table lookups.  The same
+tables back the series kernels.
 
 q = p^s must be odd: the stabilizer block shape (G, w^2 H; H, G) needs
 an omega with omega^2 in F_q, which no even-q field provides.
@@ -135,7 +136,10 @@ class FieldSpec:
 
     * ``exp[j]``  packed value of g**j for a fixed generator g,
     * ``log[x]``  discrete log of packed x (log[0] = -1),
-    * ``zech[j]`` log(1 + g**j), or -1 when 1 + g**j = 0.
+    * ``zech[j]`` log(1 + g**j), or -1 when 1 + g**j = 0,
+    * ``lane_exp_np[j]`` the D digits of exp[j], digit d in bits
+      [b*d, b*d + b) of one int64 word, b = 64 // D (the product kernel's
+      lane words).
 
     Addition of nonzero x, y is exp[(log x + Z((log y - log x) mod Q-1)) mod Q-1].
     """
@@ -216,18 +220,13 @@ class FieldSpec:
         self.log_np = np.asarray(log, dtype=np.int64)
         self.zech_np = np.asarray(zech, dtype=np.int64)
         self._neg_one = self.pow_packed(self.p - 1, 1) if self.p > 2 else 1
-        # lane packing: the D digits of exp[j] in 16-bit lanes of one word,
-        # so dense accumulation is a single integer add per product term
-        if self.D <= 4:
-            lanes = np.zeros(qm1, dtype=np.int64)
-            for j in range(qm1):
-                acc = 0
-                for d, dig in enumerate(_digits(exp[j], self.p, self.D)):
-                    acc |= dig << (16 * d)
-                lanes[j] = acc
-            self.lane_exp_np = lanes
-        else:
-            self.lane_exp_np = None
+        # one word per element, so a product adds each term with one integer add
+        bits = 64 // self.D
+        rest = self.exp_np.copy()
+        self.lane_exp_np = np.zeros(qm1, dtype=np.int64)
+        for d in range(self.D):
+            self.lane_exp_np |= (rest % self.p) << (bits * d)
+            rest //= self.p
 
     # -- packed scalar ops ---------------------------------------------------
 

@@ -1,15 +1,21 @@
 """The acceptance gate: every criterion at its stated tolerance.
 
 Runs with the standard configuration (q = 3, prec = 200 exponent units
-at ramification 8, slack 10, fixed seed).  Criterion runtimes print with
-pytest -s; the full file takes on the order of half a minute.
+at ramification 8, slack 10, fixed seed), plus a short q = 9 pipeline
+run.  Criterion runtimes print with pytest -s; the full file takes on
+the order of half a minute.
 """
+
+import random
 
 import pytest
 
 from tmotive import acceptance
 from tmotive.acceptance import run_criterion
+from tmotive.anderson import make_tmotive
 from tmotive.config import Config
+from tmotive.isomsolver import theorem3_check
+from tmotive.latticemap import random_gamma
 
 CFG = Config()
 
@@ -55,4 +61,20 @@ def test_criterion_8_reruns_above_working_precision(monkeypatch):
     "and phi2 at exponent 368"))
 def test_criterion_8_at_prec_60():
     res = acceptance.criterion_8(Config(prec=60))
+    assert res.passed, res.details
+
+
+def test_pipeline_at_q9():
+    # D = 8, so the series products run on 8-bit lanes.  The literal
+    # determinant identity N(det W1) = det(gamma)^n fails for q > 3 whenever
+    # det(gamma)^(2n) != 1, so only the flags criterion 7 requires besides it
+    cfg = Config.from_q(9, prec=30, slack=5)
+    spec, ram = cfg.spec, cfg.ram
+    rng = random.Random(cfg.seed + 7000)
+    for k in (0, 1):
+        A = acceptance._random_matrix(spec, rng, 1, ram, cfg.prec_num, 3, 6)
+        rep = theorem3_check(make_tmotive(A, v_min=cfg.v_min), random_gamma(spec, 1, k, rng),
+                             k=k, slack=cfg.slack)
+        assert all(rep[f] for f in acceptance._ISO_FLAGS), {f: rep[f] for f in acceptance._ISO_FLAGS}
+    res = acceptance.criterion_8(cfg, ns=(1,))
     assert res.passed, res.details

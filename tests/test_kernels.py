@@ -15,9 +15,9 @@ def F():
 
 @pytest.fixture(scope="module")
 def F9():
-    # D = 8 > 4 digits do not fit the 16-bit lanes, so it has no lane table
+    # D = 8 digits, so 8-bit lanes
     G = ambient_field(3, 2, 8)
-    assert G.q == 9 and G.lane_exp_np is None
+    assert G.q == 9
     return G
 
 
@@ -27,9 +27,8 @@ def _rand_series(rng, G, n, lo=-100, hi=1600):
     return e, c
 
 
-def _args(G, cap, lanes=True):
-    return (G.log_np, G.exp_np, G.zech_np, G.lane_exp_np if lanes else None,
-            G.order - 1, G.p, G.D, cap)
+def _args(G, cap):
+    return G.log_np, G.exp_np, G.zech_np, G.lane_exp_np, G.order - 1, G.p, G.D, cap
 
 
 def _canonical(acc):
@@ -54,8 +53,8 @@ def _schoolbook_add(G, e1, c1, e2, c2, cap):
     return _canonical(acc)
 
 
-def _check_mul(G, e1, c1, e2, c2, cap, lanes=True):
-    e, c = pure.series_mul(e1, c1, e2, c2, *_args(G, cap, lanes))
+def _check_mul(G, e1, c1, e2, c2, cap):
+    e, c = pure.series_mul(e1, c1, e2, c2, *_args(G, cap))
     assert (e.tolist(), c.tolist()) == _schoolbook_mul(G, e1, c1, e2, c2, cap)
 
 
@@ -66,14 +65,13 @@ def _check_add(G, e1, c1, e2, c2, cap):
 
 @pytest.mark.parametrize("size", [1, 7, 60, 400])
 def test_mul_matches_schoolbook(F, F9, size):
-    # the lane path at q = 3, the Zech dense path at q = 3 with the lane
-    # table withheld and at q = 9, which has none
+    # 16-bit lanes at q = 3, 8-bit lanes at q = 9
     rng = np.random.default_rng(size)
-    for G, lanes in ((F, True), (F, False), (F9, True)):
+    for G in (F, F9):
         for _ in range(4):
             e1, c1 = _rand_series(rng, G, size)
             e2, c2 = _rand_series(rng, G, max(1, size // 2))
-            _check_mul(G, e1, c1, e2, c2, int(rng.integers(0, 1700)), lanes)
+            _check_mul(G, e1, c1, e2, c2, int(rng.integers(0, 1700)))
 
 
 @pytest.mark.parametrize("size", [1, 9, 300])
@@ -104,16 +102,15 @@ def test_cap_at_or_below_base(F, F9):
         _check_add(G, e1, c1, empty, empty, int(e1[5]))
 
 
-def test_lane_and_zech_paths_agree(F):
-    # the dense lane accumulation and the generic Zech path must coincide
-    rng = np.random.default_rng(7)
-    e1, c1 = _rand_series(rng, F, 50)
-    e2, c2 = _rand_series(rng, F, 50)
-    cap = 1700
-    with_lanes = pure.series_mul(e1, c1, e2, c2, *_args(F, cap))
-    no_lanes = pure.series_mul(e1, c1, e2, c2, *_args(F, cap, lanes=False))
-    assert np.array_equal(with_lanes[0], no_lanes[0])
-    assert np.array_equal(with_lanes[1], no_lanes[1])
+def _run_product_closed_form(G, n, step):
+    # sum_{i<n} t^(step i) times sum_{i<n} c t^(step i) for c = G.order - 1,
+    # whose D digits are all p - 1: t^(step s) collects k = min(s, 2n - 2 - s) + 1
+    # copies of c, so each of its digits is -k mod p
+    s = np.arange(2 * n - 1)
+    k = np.minimum(s, 2 * n - 2 - s) + 1
+    coeffs = (-k % G.p) * ((G.order - 1) // (G.p - 1))
+    keep = coeffs != 0
+    return (s[keep] * step).tolist(), coeffs[keep].tolist()
 
 
 def test_lane_guard_depends_on_p():
@@ -126,21 +123,25 @@ def test_lane_guard_depends_on_p():
     x = CinfElem(F7, 1, 3 * n, e, np.ones(n, dtype=np.int64))
     y = CinfElem(F7, 1, 3 * n, e, np.full(n, F7.order - 1, dtype=np.int64))
     prod = x * y
+    assert (prod.exps.tolist(), prod.coeffs.tolist()) == _run_product_closed_form(F7, n, 1)
 
-    def kernel(lanes):
-        return pure.series_mul(x.exps, x.coeffs, y.exps, y.coeffs,
-                               *_args(F7, 3 * n, lanes))
 
-    no_lanes = kernel(False)
-    # the library product, and a direct kernel call offered the lane table
-    for exps, coeffs in ((prod.exps, prod.coeffs), kernel(True)):
-        assert np.array_equal(exps, no_lanes[0])
-        assert np.array_equal(coeffs, no_lanes[1])
+@pytest.mark.parametrize("step", [1, 10 ** 4])
+def test_lane_blocks_at_q9(F9, step):
+    # 8-bit lanes hold 255, so at p = 3 a block is 255 // 2 - 1 = 126 rows:
+    # the middle slot of two 300-term runs sums 300 digits of value 2, more
+    # than two blocks' worth; step 10^4 puts the product in a sparse window
+    n = 300
+    e = np.arange(n, dtype=np.int64) * step
+    ones = np.ones(n, dtype=np.int64)
+    full = np.full(n, F9.order - 1, dtype=np.int64)
+    got = pure.series_mul(e, ones, e, full, *_args(F9, 2 * n * step))
+    assert (got[0].tolist(), got[1].tolist()) == _run_product_closed_form(F9, n, step)
 
 
 def test_sparse_tail_path(F, F9):
-    # windows beyond the dense cap take the pairwise route; exponents on a
-    # coarse grid make many products land on one exponent and cancel
+    # windows beyond the dense cap give a slot to each exponent that occurs;
+    # exponents on a coarse grid make many products land on one and cancel
     assert 3 * 10 ** 6 > pure._DENSE_WINDOW
     e1 = np.asarray([0, 10 ** 6], dtype=np.int64)
     c1 = np.asarray([1, 2], dtype=np.int64)
