@@ -132,16 +132,6 @@ class CinfElem:
             raise PrecisionError("no leading term: element is zero to precision")
         return int(self.exps[0]), FFElem(self.spec, int(self.coeffs[0]))
 
-    def coeff_at(self, e, ram=None):
-        """Coefficient of t^(e/ram) (defaults to own ram)."""
-        ram = ram or self.ram
-        x = self.lift_ram((self.ram * ram) // gcd(self.ram, ram))
-        target = e * (x.ram // ram)
-        i = np.searchsorted(x.exps, target)
-        if i < len(x.exps) and x.exps[i] == target:
-            return FFElem(self.spec, int(x.coeffs[i]))
-        return self.spec.zero
-
     # -- ramification and truncation ------------------------------------------
 
     def lift_ram(self, new_ram):

@@ -70,10 +70,14 @@ def _series_from_json(spec, obj):
 def _matrix_from_json(spec, obj):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix must be a nonempty nested list")
-    rows = [[_series_from_json(spec, x) for x in r] for r in obj]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise SchemaError("ragged matrix")
-    return rows
+    if any(len(r) != len(obj) for r in obj):
+        raise SchemaError("matrix must be square")
+    return [[_series_from_json(spec, x) for x in r] for r in obj]
+
+
+def _require_gamma_size(m, gamma, name):
+    if len(m) != gamma.n:
+        raise SchemaError(f"{name} is {len(m)} x {len(m)} but gamma has n = {gamma.n}")
 
 
 def _matrix_to_json(m):
@@ -155,8 +159,9 @@ def cmd_mobius(args):
     cfg = _config_from_args(args)
     spec = cfg.spec
     gamma = _gamma_from_json(spec, _load_json(args.gamma))
-    Z = SiegelMatrix(_matrix_from_json(spec, _load_json(args.Z)))
-    img = mobius(gamma, Z)
+    Z = _matrix_from_json(spec, _load_json(args.Z))
+    _require_gamma_size(Z, gamma, "Z")
+    img = mobius(gamma, SiegelMatrix(Z))
     _emit({"config": cfg.to_json(), "Z": _matrix_to_json(img.Z)}, args)
     return EXIT_OK
 
@@ -166,6 +171,7 @@ def cmd_iso_solve(args):
     spec = cfg.spec
     A = _matrix_from_json(spec, _load_json(args.A))
     gamma = _gamma_from_json(spec, _load_json(args.gamma))
+    _require_gamma_size(A, gamma, "A")
     motive = make_tmotive(A, v_min=cfg.v_min)
     sol = solve_iso(motive, gamma, k=args.k)
     tol = Fraction(cfg.prec - cfg.slack)

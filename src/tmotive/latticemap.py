@@ -468,44 +468,43 @@ def mobius(gamma, siegel):
 
 
 def _fp_nullspace(a, p):
-    """Nullspace basis of an integer matrix mod p (columns = unknowns)."""
+    """Nullspace basis of an integer matrix mod p (columns = unknowns).
+
+    Gauss-Jordan elimination brings a to its reduced row echelon form,
+    which is unique, so the basis depends on the row space alone: one
+    vector per free column, 1 there and minus that column's pivot-row
+    entries at the pivots.
+    """
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape
-    piv_col_of_row = []
-    r = 0
+    pivots = []
     for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if a[rr, c] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and a[rr, c]:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
-        piv_col_of_row.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    pivots = set(piv_col_of_row)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for rr, pc in enumerate(piv_col_of_row):
-            v[pc] = (-a[rr, fc]) % p
-        basis.append(v)
-    return basis
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            continue
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        # the pivot row is zero left of c, so one outer product clears column c
+        f = a[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        a[hit, c:] = (a[hit, c:] - np.outer(f[hit], a[r, c:])) % p
+        pivots.append(c)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -a[:len(pivots), free].T % p
+    return list(basis)
 
 
-def _series_theta_shift(x, d):
-    """Multiply by theta^d (shift exponents down by d*ram)."""
-    return x.shift(-d * x.ram)
+def _lane_digits(spec, words):
+    """Base-p digits of lane words (FieldSpec.lane_exp_np entries), last axis D."""
+    bits = 64 // spec.D
+    return (words[..., None] >> (bits * np.arange(spec.D))) & ((1 << bits) - 1)
 
 
 def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
@@ -517,72 +516,70 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     enters; at the minimal cap the solution is unique up to F_q^*.
     Solutions must verify against the full series identity to precision
     minus slack, and must have a constant nonzero determinant.
+
+    Rows are read off the field's lane words.  In entry (i, j) the
+    unknown theta^d coefficient of block entry (l, m) multiplies a fixed
+    series s: Z1[i][l] (X), Z1[i][l] Z2[m][j] (Y), -1 (U) or -Z2[m][j]
+    (V).  theta^d only offsets s's exponents by d s.ram, so one
+    searchsorted per s reads its coefficients c at every kept exponent
+    and every d.  For an F_q-basis element b, the D base-p digits of c b
+    are the lanes of lane_exp_np[log c + log b], zero where c = 0; each
+    digit is one F_p row.
     """
     spec = Z1[0][0].spec
     p = spec.p
+    qm1 = spec.order - 1
     n = len(Z1)
     ram = Z1[0][0].ram
     prec = min(mat_min_prec(Z1), mat_min_prec(Z2))
     tol = Fraction(prec, ram) - slack_units
-    basis_q = [spec.el(x) for x in spec.subfield_basis(1)]
+    log_b = spec.log_np[spec.subfield_basis(1)]
+    stride = len(log_b)
+    basis_digits = _lane_digits(spec, spec.lane_exp_np[log_b])
+    log_neg = int(spec.log_np[p - 1])
+    one = CinfElem.const(spec, ram, prec, spec.one)
 
-    z1z2 = {(i, l, m, j): Z1[i][l] * Z2[m][j]
-            for i in range(n) for l in range(n)
-            for m in range(n) for j in range(n)}
+    # per entry (i, j): ((block, l, m), series, negated) for the blocks
+    # X, Y, U, V numbered 0-3, the order the unknowns run in before d
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            terms = [((2, i, j), one, True)]
+            for l in range(n):
+                terms.append(((0, l, j), Z1[i][l], False))
+                terms.append(((3, i, l), Z2[l][j], True))
+                terms += [((1, l, m), Z1[i][l] * Z2[m][j], False) for m in range(n)]
+            entries.append([t for t in terms if len(t[1].exps)])
 
     for cap in range(deg_cap + 1):
-        unknowns = []  # (block, l, m, d)
-        for blk in ("X", "Y", "U", "V"):
-            for l in range(n):
-                for m in range(n):
-                    for d in range(cap + 1):
-                        unknowns.append((blk, l, m, d))
-
-        def basis_series(blk, l, m, d, i, j):
-            if blk == "X":
-                return _series_theta_shift(Z1[i][l], d) if m == j else None
-            if blk == "Y":
-                return _series_theta_shift(z1z2[(i, l, m, j)], d)
-            if blk == "U":
-                if (l, m) != (i, j):
-                    return None
-                one = CinfElem.const(spec, ram, prec, spec.one)
-                return -_series_theta_shift(one, d)
-            # V block: row must match
-            if l != i:
-                return None
-            return -_series_theta_shift(Z2[m][j], d)
-
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                cols = [basis_series(*u, i, j) for u in unknowns]
-                exps = set()
-                for s in cols:
-                    if s is not None:
-                        exps.update(int(e) for e in s.exps)
-                exps = sorted(exps)
-                want = max(24, (3 * len(unknowns) * len(basis_q)) // max(1, n * n) + 8)
-                for e in exps[:want]:
-                    for kappa in range(spec.D):
-                        row = []
-                        for s in cols:
-                            if s is None:
-                                row.extend([0] * len(basis_q))
-                                continue
-                            coef = s.coeff_at(e, s.ram)
-                            for b in basis_q:
-                                row.append((coef * b).coeffs()[kappa])
-                        rows.append(row)
-        if not rows:
+        offs = np.arange(cap + 1)
+        n_unknowns = 4 * n * n * (cap + 1)
+        want = max(24, (3 * n_unknowns * stride) // max(1, n * n) + 8)
+        blocks = []
+        for terms in entries:
+            if not terms:
+                continue
+            exps = np.unique(np.concatenate(
+                [(s.exps - (offs * s.ram)[:, None]).ravel() for _, s, _ in terms]))[:want]
+            # rows (exponent, digit), columns (block, l, m, d, basis element)
+            block = np.zeros((len(exps), spec.D, 4, n, n, cap + 1, stride), dtype=np.int64)
+            for (blk, l, m), s, neg in terms:
+                target = exps + (offs * s.ram)[:, None]
+                at = np.minimum(np.searchsorted(s.exps, target), len(s.exps) - 1)
+                log_c = spec.log_np[s.coeffs[at]] + (log_neg if neg else 0)
+                words = spec.lane_exp_np[(log_c[..., None] + log_b) % qm1]
+                words[s.exps[at] != target] = 0
+                block[:, :, blk, l, m] = _lane_digits(spec, words).transpose(1, 3, 0, 2)
+            blocks.append(block.reshape(len(exps) * spec.D, -1))
+        if not blocks:
             continue
-        null = _fp_nullspace(np.asarray(rows, dtype=np.int64), p)
+        null = _fp_nullspace(np.concatenate(blocks), p)
         if not null:
             continue
         if len(null) > 3:
             raise RecoveryError(f"ambiguous recovery: nullspace dimension {len(null)}")
         for combo in _fq_combinations(null, p):
-            C = _combo_to_blocks(spec, combo, unknowns, basis_q, n, cap)
+            C = _combo_to_blocks(spec, combo, basis_digits, n, cap)
             if C is None:
                 continue
             if _verify_change_of_basis(C, Z1, Z2, tol):
@@ -599,26 +596,18 @@ def _fq_combinations(null, p):
         yield sum(c * v for c, v in zip(coeffs, null)) % p
 
 
-def _combo_to_blocks(spec, vec, unknowns, basis_q, n, cap):
-    stride = len(basis_q)
-    polys = {}
-    pos = 0
-    for u in unknowns:
-        c = spec.zero
-        for r, b in enumerate(basis_q):
-            comp = int(vec[pos + r]) % spec.p
-            if comp:
-                c = c + b * spec.scalar(comp)
-        pos += stride
-        blk, l, m, d = u
-        key = (blk, l, m)
-        polys.setdefault(key, [spec.zero] * (cap + 1))[d] = c
-    blocks = {}
-    for blk in ("X", "Y", "U", "V"):
-        blocks[blk] = [[FFPoly(spec, polys.get((blk, l, m), [spec.zero]))
-                        for m in range(n)] for l in range(n)]
-    C = [bx + by for bx, by in zip(blocks["X"], blocks["Y"])] + \
-        [bu + bv for bu, bv in zip(blocks["U"], blocks["V"])]
+def _combo_to_blocks(spec, vec, basis_digits, n, cap):
+    """The blocks C of a nullspace vector, or None unless det C is an F_q unit.
+
+    Each unknown's F_p coordinates times the digit matrix of the F_q basis
+    give its coefficient's digits, packed base p.
+    """
+    p = spec.p
+    digits = vec.reshape(-1, len(basis_digits)) @ basis_digits % p
+    packed = (digits @ p ** np.arange(spec.D)).reshape(4, n, n, cap + 1)
+    X, Y, U, V = [[[FFPoly(spec, [spec.el(int(x)) for x in packed[blk, l, m]])
+                    for m in range(n)] for l in range(n)] for blk in range(4)]
+    C = [bx + by for bx, by in zip(X, Y)] + [bu + bv for bu, bv in zip(U, V)]
     det = ffpoly_det(C)
     if det.is_zero() or not det.is_constant() or not det.constant().in_subfield(1):
         return None

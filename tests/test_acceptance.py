@@ -64,6 +64,19 @@ def test_criterion_8_at_prec_60():
     assert res.passed, res.details
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "recover_change_of_basis misses the change of basis on 2 of the 15 runs: "
+    "the k = 1 run finds none up to degree 6 and the k = 2 run raises "
+    "'ambiguous recovery: nullspace dimension 4', while siegel_match holds "
+    "on both; the kept exponents are not cut at the certified precision of "
+    "each theta-shifted column, so rows above it read an unknown coefficient "
+    "as zero (ROADMAP item 9)"))
+def test_criterion_7_at_q9_recovers_every_change_of_basis():
+    res = acceptance.criterion_7(Config.from_q(9, prec=30, slack=5), ns=(1,))
+    missed = [r for r in res.details["failed_runs"] if not r["lattices_equal"]]
+    assert not missed, missed
+
+
 def test_pipeline_at_q9():
     # D = 8, so the series products run on 8-bit lanes.  The literal
     # determinant identity N(det W1) = det(gamma)^n fails for q > 3 whenever

@@ -31,6 +31,11 @@ def term_items(x):
     return [(int(e), FFElem(x.spec, int(c))) for e, c in zip(x.exps, x.coeffs)]
 
 
+def coeff_at(x, e):
+    """Coefficient of t^(e/x.ram) in x."""
+    return dict(term_items(x)).get(e, x.spec.zero)
+
+
 def poly_eval(p, z):
     """A PolyT evaluated at T = z by Horner's rule."""
     acc = p.coeffs[-1]
@@ -45,7 +50,7 @@ def test_construction_merges_repeated_exponents(F):
     two = F.scalar(2)
     x = CinfElem.from_terms(F, N, PU * N, [(5, two), (5, two), (3, F.one)])
     assert [e for e, _ in term_items(x)] == [3, 5]
-    assert x.coeff_at(5, N) == two + two
+    assert coeff_at(x, 5) == two + two
     y = CinfElem.from_terms(F, N, PU * N, [(7, F.one), (7, two)])
     assert y.is_zero()  # 1 + 2 = 0 mod 3
 
@@ -93,12 +98,12 @@ def test_inversion(F):
     t = t_uniformizer(F, N, PU)
     geo = c_inv(t - t * t)  # t^-1 (1 + t + t^2 + ...)
     for k in range(-1, 6):
-        assert geo.coeff_at(k * N) == F.one
+        assert coeff_at(geo, k * N) == F.one
     assert c_inv(theta(F, N, PU)).same_terms(t)
     for _ in range(25):
         x = rand_series(F, rng)
         prod = x * c_inv(x)
-        assert prod.coeff_at(0) == F.one and len(prod.exps) == 1
+        assert coeff_at(prod, 0) == F.one and len(prod.exps) == 1
         assert c_inv(x).prec == x.prec - 2 * x.min_exp()
     with pytest.raises(PrecisionError):
         c_inv(CinfElem.zero(F, N, 100))
@@ -140,9 +145,9 @@ def test_root_unit_series_frozen_coefficients(F):
     t = t_uniformizer(F, N, PU)
     s = c_root(one + t, 2)
     assert (s * s - (one + t)).is_zero()
-    assert s.coeff_at(0) == F.one
-    assert s.coeff_at(N) == F.scalar(2)
-    assert s.coeff_at(2 * N) == F.one
+    assert coeff_at(s, 0) == F.one
+    assert coeff_at(s, N) == F.scalar(2)
+    assert coeff_at(s, 2 * N) == F.one
 
 
 def test_root_of_mth_power(F):
@@ -151,7 +156,7 @@ def test_root_of_mth_power(F):
         x = rand_series(F, rng, vmin=0, vmax=6)
         r = c_root(x ** m, m)
         ratio_m = (r ** m) * c_inv(x.lift_ram(r.ram) ** m)
-        assert ratio_m.coeff_at(0) == F.one and len(ratio_m.exps) == 1
+        assert coeff_at(ratio_m, 0) == F.one and len(ratio_m.exps) == 1
 
 
 def test_root_rejects_characteristic(F):

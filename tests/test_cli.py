@@ -148,3 +148,31 @@ def test_config_file_roundtrip(capsys, tmp_path):
     cfgpath.write_text(json.dumps(Config(prec=PREC).to_json()))
     rc, rep = run(capsys, "period", "--config", str(cfgpath))
     assert rc == EXIT_OK and rep["config"]["prec"] == PREC
+
+
+_GAMMA_BY_N = {
+    # the omega-swap element at n = 1, the identity at n = 2
+    1: {"k": 0, "G": [[[]]], "H": [[[[1, 0, 0, 0]]]]},
+    2: {"k": 0, "G": [[[[1, 0, 0, 0]], []], [[], [[1, 0, 0, 0]]]],
+        "H": [[[], []], [[], []]]},
+}
+
+
+@pytest.mark.parametrize("command, flag, shape, gamma_n", [
+    ("lattice-map", "--A", (1, 2), None),
+    ("iso-solve", "--A", (1, 2), 1),
+    ("iso-solve", "--A", (1, 1), 2),
+    ("mobius", "--Z", (2, 2), 1),
+    ("mobius", "--Z", (1, 1), 2),
+])
+def test_misshaped_matrix_exit_code(capsys, tmp_path, cfg, command, flag, shape, gamma_n):
+    # a non-square matrix, or one whose size is not gamma's n, is a schema error
+    x = (t_uniformizer(cfg.spec, cfg.ram, cfg.prec) ** 3).to_json()
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps([[x] * shape[1]] * shape[0]))
+    argv = [command, flag, str(mpath), "--prec", str(PREC)]
+    if gamma_n is not None:
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(_GAMMA_BY_N[gamma_n]))
+        argv += ["--gamma", str(gpath)]
+    assert main(argv) == EXIT_SCHEMA

@@ -8,9 +8,10 @@ collect the names its import statements bind that it never reads
 (package __init__ files re-export by design and are skipped), the
 parameters of each function or lambda that its body never reads, the
 functions and classes that neither the package nor the benchmark reads
-(helpers only tests need live in the tests), and every read of
-os.environ or os.getenv, so that no environment variable can switch a
-code path behind the tests' back.
+(helpers only tests need live in the tests), every read of os.environ
+or os.getenv, so that no environment variable can switch a code path
+behind the tests' back, and every subscript of an element's digit list
+(x.coeffs()[k]), since every digit is already in FieldSpec.lane_exp_np.
 """
 
 import ast
@@ -136,3 +137,20 @@ def test_no_definitions_only_tests_read():
     unread = [f"{where}: {name}" for where, name in defined
               if name not in read and not (name.startswith("__") and name.endswith("__"))]
     assert not unread, "defined but read by no module:\n" + "\n".join(unread)
+
+
+def _digit_subscripts(tree):
+    """Calls x.coeffs()[...]: one digit read off an element's digit list."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and node.value.func.attr == "coeffs")
+
+
+def test_no_per_digit_reads():
+    # digits come from FieldSpec.lane_exp_np, which holds them all in one word
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [f"{path.relative_to(SRC)}:{line}" for line in _digit_subscripts(tree)]
+    assert not reads, "element digit list subscripted:\n" + "\n".join(reads)

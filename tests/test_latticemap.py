@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import inf
 
+import numpy as np
 import pytest
 
+from tmotive import latticemap
+from tmotive.config import Config
 from tmotive.errors import GammaShapeError, RecoveryError, SingularMatrixError
-from tmotive.ffield import FFElem, FFPoly, ambient_field, omega_split
+from tmotive.ffield import FFElem, FFPoly, ambient_field, ffpoly_det, omega_split
 from tmotive.cinf import CinfElem, c_conj, c_inv, q_twist, theta_ij, t_uniformizer
 from tmotive.anderson import exp_coeffs, exp_eval_scalar, make_tmotive
-from tmotive.linalg import mat_inv, mat_mul
+from tmotive.linalg import eye, mat_inv, mat_min_prec, mat_mul
 from tmotive.latticemap import (GammaElem, Lattice, SiegelMatrix, carlitz_period,
                                 d10_series, gamma_from_alpha, lattice_of,
                                 lattices_equal, mobius, mobius_raw, mu13, mu34,
@@ -411,7 +415,6 @@ def test_recovery_on_gamma_related_pair(F):
     z1 = mobius(g, z2)
     C = recover_change_of_basis(z1.Z, z2.Z, deg_cap=4, slack_units=10)
     # the recovered blocks are the rearranged gamma blocks up to a scalar
-    from tmotive.ffield import ffpoly_det
     det = ffpoly_det(C)
     assert det.is_constant() and not det.is_zero()
 
@@ -421,3 +424,151 @@ def test_recovery_fails_on_unrelated_pair(F):
     z1 = SiegelMatrix([[z2.Z[0][0] + t_pow(F, 2)]])
     with pytest.raises(RecoveryError):
         recover_change_of_basis(z1.Z, z2.Z, deg_cap=3, slack_units=10)
+
+
+# -- the recovery against its per-digit row builder -------------------------------
+
+
+def _coeff_at(x, e):
+    """Coefficient of t^(e/x.ram) in x."""
+    i = np.searchsorted(x.exps, e)
+    if i < len(x.exps) and x.exps[i] == e:
+        return FFElem(x.spec, int(x.coeffs[i]))
+    return x.spec.zero
+
+
+def _oracle_recover(Z1, Z2, deg_cap, slack_units):
+    """recover_change_of_basis with its system built one digit at a time.
+
+    Every row entry is digit kappa of c b, for c the coefficient of the
+    column's series at the row's exponent and b an F_q basis element, and
+    each unknown's F_q coefficient is summed from its basis elements.
+    """
+    spec = Z1[0][0].spec
+    p = spec.p
+    n = len(Z1)
+    ram = Z1[0][0].ram
+    prec = min(mat_min_prec(Z1), mat_min_prec(Z2))
+    tol = Fraction(prec, ram) - slack_units
+    basis_q = [spec.el(x) for x in spec.subfield_basis(1)]
+    z1z2 = {(i, l, m, j): Z1[i][l] * Z2[m][j]
+            for i in range(n) for l in range(n) for m in range(n) for j in range(n)}
+    one = CinfElem.const(spec, ram, prec, spec.one)
+
+    for cap in range(deg_cap + 1):
+        unknowns = [(blk, l, m, d) for blk in "XYUV" for l in range(n)
+                    for m in range(n) for d in range(cap + 1)]
+
+        def basis_series(blk, l, m, d, i, j):
+            if blk == "X":
+                s = Z1[i][l] if m == j else None
+            elif blk == "Y":
+                s = z1z2[(i, l, m, j)]
+            elif blk == "U":
+                s = -one if (l, m) == (i, j) else None
+            else:
+                s = -Z2[m][j] if l == i else None
+            return None if s is None else s.shift(-d * s.ram)
+
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                cols = [basis_series(*u, i, j) for u in unknowns]
+                exps = sorted({int(e) for s in cols if s is not None for e in s.exps})
+                want = max(24, (3 * len(unknowns) * len(basis_q)) // max(1, n * n) + 8)
+                for e in exps[:want]:
+                    for kappa in range(spec.D):
+                        row = []
+                        for s in cols:
+                            if s is None:
+                                row.extend([0] * len(basis_q))
+                                continue
+                            coef = _coeff_at(s, e)
+                            row.extend((coef * b).coeffs()[kappa] for b in basis_q)
+                        rows.append(row)
+        if not rows:
+            continue
+        null = latticemap._fp_nullspace(np.asarray(rows, dtype=np.int64), p)
+        if not null:
+            continue
+        if len(null) > 3:
+            raise RecoveryError(f"ambiguous recovery: nullspace dimension {len(null)}")
+        for vec in latticemap._fq_combinations(null, p):
+            polys = {}
+            for pos, (blk, l, m, d) in enumerate(unknowns):
+                c = spec.zero
+                for r, b in enumerate(basis_q):
+                    c = c + b * spec.scalar(int(vec[pos * len(basis_q) + r]))
+                polys.setdefault((blk, l, m), [spec.zero] * (cap + 1))[d] = c
+            X, Y, U, V = [[[FFPoly(spec, polys[(blk, l, m)]) for m in range(n)]
+                           for l in range(n)] for blk in "XYUV"]
+            C = [bx + by for bx, by in zip(X, Y)] + [bu + bv for bu, bv in zip(U, V)]
+            det = ffpoly_det(C)
+            if det.is_zero() or not det.is_constant() or not det.constant().in_subfield(1):
+                continue
+            if latticemap._verify_change_of_basis(C, Z1, Z2, tol):
+                return C
+    raise RecoveryError(f"no polynomial change of basis up to degree {deg_cap}")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RecoveryError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_recovery_matches_per_digit_oracle(q, n):
+    # Z2 = omega I plus a few terms per entry lies in the Siegel half-space;
+    # Z1 is its image under gammas of degree 1 and 2, then a perturbation
+    spec, ram = Config.from_q(q).spec, q * q - 1
+    prec = 16 * ram
+    rng = random.Random(10 * q + n)
+    units = [x for x in spec.subfield(2) if x]
+
+    def terms(lo, hi):
+        return CinfElem.from_terms(spec, ram, prec, [
+            (rng.randrange(lo * ram, hi * ram), spec.el(rng.choice(units)))
+            for _ in range(2)])
+
+    Z2 = eye(spec, ram, prec, n, scale=spec.omega)
+    Z2 = [[x + terms(1, 4) for x in r] for r in Z2]
+    pairs = [(mobius(random_gamma(spec, n, k, rng), SiegelMatrix(Z2)).Z, k + 1)
+             for k in (1, 2)]
+    pairs.append(([[x + terms(2, 3) for x in r] for r in Z2], 1))
+    for Z1, cap in pairs:
+        want = _outcome(_oracle_recover, Z1, Z2, cap, 4)
+        got = _outcome(recover_change_of_basis, Z1, Z2, cap, 4)
+        assert got == want
+
+
+def _brute_nullity(a, p):
+    """Number of x in F_p^cols with a x = 0, by enumeration."""
+    xs = np.array(list(product(range(p), repeat=a.shape[1])), dtype=np.int64)
+    return int(np.all(a @ xs.T % p == 0, axis=0).sum())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp_nullspace_matches_brute_force(p):
+    rng = np.random.default_rng(p)
+    cases = []
+    for rows, cols in ((3, 5), (6, 4), (2, 5), (7, 3)):
+        # rank-deficient: a product through a narrower middle
+        mid = max(1, min(rows, cols) - 2)
+        cases.append(rng.integers(0, p, (rows, mid)) @ rng.integers(0, p, (mid, cols)))
+        full = rng.integers(0, p, (rows, cols))
+        full[rng.integers(0, rows, 2)] = 0  # zero rows
+        cases.append(full)
+    cases.append(np.zeros((3, 4), dtype=np.int64))
+    for a in cases:
+        a = a % p
+        basis = latticemap._fp_nullspace(a, p)
+        assert all(not (a @ v % p).any() for v in basis)
+        assert p ** len(basis) == _brute_nullity(a, p)
+        # a column is free when it depends on the columns before it
+        free = [c for c in range(a.shape[1])
+                if _brute_nullity(a[:, :c + 1], p) > _brute_nullity(a[:, :c], p)]
+        vs = np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1])
+        assert np.array_equal(vs[:, free], np.eye(len(free), dtype=np.int64))
