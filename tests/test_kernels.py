@@ -14,6 +14,16 @@ def F():
 
 
 @pytest.fixture(scope="module")
+def F5():
+    return ambient_field(5, 1, 4)
+
+
+@pytest.fixture(scope="module")
+def F7():
+    return ambient_field(7, 1, 4)
+
+
+@pytest.fixture(scope="module")
 def F9():
     # D = 8 digits, so 8-bit lanes
     G = ambient_field(3, 2, 8)
@@ -63,15 +73,27 @@ def _check_add(G, e1, c1, e2, c2, cap):
     assert (e.tolist(), c.tolist()) == _schoolbook_add(G, e1, c1, e2, c2, cap)
 
 
-@pytest.mark.parametrize("size", [1, 7, 60, 400])
-def test_mul_matches_schoolbook(F, F9, size):
-    # 16-bit lanes at q = 3, 8-bit lanes at q = 9
-    rng = np.random.default_rng(size)
-    for G in (F, F9):
+def _check_random_muls(fields, size, seed):
+    rng = np.random.default_rng(seed)
+    for G in fields:
         for _ in range(4):
             e1, c1 = _rand_series(rng, G, size)
             e2, c2 = _rand_series(rng, G, max(1, size // 2))
             _check_mul(G, e1, c1, e2, c2, int(rng.integers(0, 1700)))
+
+
+@pytest.mark.parametrize("size", [1, 7, 60, 400])
+def test_mul_matches_schoolbook(F, F5, F7, F9, size):
+    # 16-bit lanes at p = 3, 5 and 7 (D = 4), 8-bit lanes at q = 9
+    _check_random_muls((F, F5, F7, F9), size, size)
+
+
+@pytest.mark.parametrize("pairs", [1, 1 << 30], ids=["one_row", "block_bound"])
+def test_mul_at_chunk_extremes(F, F5, F7, F9, monkeypatch, pairs):
+    # one row per chunk, and chunks bounded only by the lane block
+    monkeypatch.setattr(pure, "_PAIRS", pairs)
+    for size in (7, 400):
+        _check_random_muls((F, F5, F7, F9), size, size + pairs)
 
 
 @pytest.mark.parametrize("size", [1, 9, 300])
@@ -102,15 +124,25 @@ def test_cap_at_or_below_base(F, F9):
         _check_add(G, e1, c1, empty, empty, int(e1[5]))
 
 
-def _run_product_closed_form(G, n, step):
-    # sum_{i<n} t^(step i) times sum_{i<n} c t^(step i) for c = G.order - 1,
-    # whose D digits are all p - 1: t^(step s) collects k = min(s, 2n - 2 - s) + 1
-    # copies of c, so each of its digits is -k mod p
-    s = np.arange(2 * n - 1)
-    k = np.minimum(s, 2 * n - 2 - s) + 1
+def _run_product_closed_form(G, n1, n2, step):
+    # sum_{i<n1} t^(step i) times sum_{i<n2} c t^(step i) for c = G.order - 1,
+    # whose D digits are all p - 1: t^(step s) collects
+    # k = min(s, n1 - 1, n2 - 1, n1 + n2 - 2 - s) + 1 copies of c, so each
+    # of its digits is -k mod p
+    s = np.arange(n1 + n2 - 1)
+    k = np.minimum(np.minimum(s, n1 + n2 - 2 - s), min(n1, n2) - 1) + 1
     coeffs = (-k % G.p) * ((G.order - 1) // (G.p - 1))
     keep = coeffs != 0
     return (s[keep] * step).tolist(), coeffs[keep].tolist()
+
+
+def _run_product(G, n1, n2, step):
+    e1 = np.arange(n1, dtype=np.int64) * step
+    e2 = np.arange(n2, dtype=np.int64) * step
+    full = np.full(n2, G.order - 1, dtype=np.int64)
+    got = pure.series_mul(e1, np.ones(n1, dtype=np.int64), e2, full,
+                          *_args(G, (n1 + n2) * step))
+    return got[0].tolist(), got[1].tolist()
 
 
 def test_lane_guard_depends_on_p():
@@ -123,23 +155,30 @@ def test_lane_guard_depends_on_p():
     x = CinfElem(F7, 1, 3 * n, e, np.ones(n, dtype=np.int64))
     y = CinfElem(F7, 1, 3 * n, e, np.full(n, F7.order - 1, dtype=np.int64))
     prod = x * y
-    assert (prod.exps.tolist(), prod.coeffs.tolist()) == _run_product_closed_form(F7, n, 1)
+    assert (prod.exps.tolist(), prod.coeffs.tolist()) == _run_product_closed_form(F7, n, n, 1)
 
 
 @pytest.mark.parametrize("step", [1, 10 ** 4])
 def test_lane_blocks_at_q9(F9, step):
     # 8-bit lanes hold 255, so at p = 3 a block is 255 // 2 - 1 = 126 rows:
     # the middle slot of two 300-term runs sums 300 digits of value 2, more
-    # than two blocks' worth; step 10^4 puts the product in a sparse window
-    n = 300
-    e = np.arange(n, dtype=np.int64) * step
-    ones = np.ones(n, dtype=np.int64)
-    full = np.full(n, F9.order - 1, dtype=np.int64)
-    got = pure.series_mul(e, ones, e, full, *_args(F9, 2 * n * step))
-    assert (got[0].tolist(), got[1].tolist()) == _run_product_closed_form(F9, n, step)
+    # than two blocks' worth; step 10^4 puts the product in a sparse window.
+    # A chunk is _PAIRS // 300 = 109 rows, so its edges fall off the block's
+    assert pure._PAIRS // 300 == 109
+    assert _run_product(F9, 300, 300, step) == _run_product_closed_form(F9, 300, 300, step)
 
 
-def test_sparse_tail_path(F, F9):
+@pytest.mark.parametrize("step", [1, 10 ** 4])
+@pytest.mark.parametrize("n1, n2, rows", [(250, 200, 126), (60, 300, 60)])
+def test_unequal_runs_at_q9(F9, n1, n2, rows, step):
+    # a chunk is _PAIRS // (longer length) rows of the shorter operand,
+    # capped at the 126-row lane block: 200 rows of a swapped pair go in
+    # block-bound chunks of 126, and 60 rows of an unswapped one in one chunk
+    assert min(126, pure._PAIRS // max(n1, n2), min(n1, n2)) == rows
+    assert _run_product(F9, n1, n2, step) == _run_product_closed_form(F9, n1, n2, step)
+
+
+def test_sparse_tail_path(F, F5, F7, F9):
     # windows beyond the dense cap give a slot to each exponent that occurs;
     # exponents on a coarse grid make many products land on one and cancel
     assert 3 * 10 ** 6 > pure._DENSE_WINDOW
@@ -148,9 +187,22 @@ def test_sparse_tail_path(F, F9):
     a = pure.series_mul(e1, c1, e1, c1, *_args(F, 3 * 10 ** 6))
     assert list(a[0]) == [0, 10 ** 6, 2 * 10 ** 6]
     rng = np.random.default_rng(5)
-    for G in (F, F9):
+    for G in (F, F5, F7, F9):
         for _ in range(4):
             e1, c1 = _rand_series(rng, G, 30, 0, 60)
             e2, c2 = _rand_series(rng, G, 30, 0, 60)
             cap = int(rng.integers(60, 120)) * 10 ** 5
             _check_mul(G, e1 * 10 ** 5, c1, e2 * 10 ** 5, c2, cap)
+
+
+def test_kernel_asserts_its_bounds(F):
+    # a position is the sum of two operand spans, each under 2**62
+    one = np.ones(1, dtype=np.int64)
+    for far in (-(1 << 61), 1 << 61):
+        e = np.asarray([far], dtype=np.int64)
+        with pytest.raises(AssertionError, match="headroom"):
+            pure.series_mul(e, one, np.zeros(1, dtype=np.int64), one, *_args(F, 1 << 62))
+    # 8-bit lanes cannot take one row of digits up to p - 1 = 255
+    with pytest.raises(AssertionError, match="lane"):
+        pure.series_mul(np.zeros(1, dtype=np.int64), one, np.zeros(1, dtype=np.int64), one,
+                        F.log_np, F.exp_np, F.zech_np, F.lane_exp_np, F.order - 1, 257, 8, 10)
