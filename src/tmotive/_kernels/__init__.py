@@ -1,10 +1,9 @@
-"""The two sparse-series kernels every series operation runs through.
+"""The sparse-series kernels every series operation runs through.
 
-Callers reach them as ``_kernels.series_mul`` and
-``_kernels.series_add_merge``, so a tracer can rebind the attributes
-here and see every call.
+Callers reach them as ``_kernels.series_mul``, ``_kernels.series_add_merge``
+and ``_kernels.sum_terms``, so a tracer can rebind the attributes here.
 """
 
-from .pure import series_add_merge, series_mul
+from .pure import series_add_merge, series_mul, sum_terms
 
-__all__ = ["series_add_merge", "series_mul"]
+__all__ = ["series_add_merge", "series_mul", "sum_terms"]

@@ -1,27 +1,28 @@
-"""Pure-numpy series kernels: sparse product and merge-add.
+"""Pure-numpy series kernels: sparse product, merge-add and term sums.
 
 A series is a pair of equal-length int64 arrays (exps, coeffs): exponent
-numerators sorted ascending, packed nonzero field coefficients.  Field
-arithmetic runs through the log / exp / Zech tables of the owning
-FieldSpec.
+numerators sorted ascending, packed nonzero field coefficients.  Every
+field sum adds lane words (FieldSpec.lane_np: an element's D base-p
+digits in lanes of 64 // D bits) as integers, reduces each lane mod p
+whenever the words added since the last reduction could overflow one,
+and repacks the lanes base p at the end; all of it is exact int64.
 
 A product has one path for every field and every window.  Its term pairs
 are formed a chunk of rows of the shorter operand at a time, about
 _PAIRS pairs per chunk: an outer sum of exponents gives each pair's
-slot, an outer sum of logs its lane word (the D base-p digits of its
-coefficient in lanes of 64 // D bits, FieldSpec.lane_exp_np), and one
-np.add.at adds the chunk's words below cap into their slots.  The lanes
-are reduced mod p whenever the rows added since the last reduction could
-overflow one, and the touched slots are repacked base p at the end; all
-of it is exact int64.  A slot is the exponent's offset from the lowest
-product exponent, or, in windows wider than _DENSE_WINDOW (high-valuation
-tails are very sparse), its rank among the exponents that occur below
-cap.  Both entry points take the same twelve arguments, so a caller or
-tracer handles them alike; the tests check them against a schoolbook
-product and merge on random inputs.
+slot, an outer sum of logs its lane word (FieldSpec.lane_exp_np), and
+one np.add.at adds the chunk's words below cap into their slots.  A slot
+is the exponent's offset from the lowest product exponent, or, in
+windows wider than _DENSE_WINDOW (high-valuation tails are very sparse),
+its rank among the exponents that occur below cap.  The merge-add, like
+CinfElem's constructor, sums equal exponents with sum_terms.  Both
+kernels take the same twelve arguments, so a caller or tracer handles
+them alike; the tests check them against a schoolbook product and merge.
 """
 
 import numpy as np
+
+from ..ffield import lane_digits
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -40,22 +41,47 @@ _PAIRS = 1 << 15
 _EXP_BOUND = 1 << 61
 
 
-def _add_arrays(a, b, logt, expt, zecht, qm1):
-    """Elementwise field addition of packed coefficient arrays."""
-    out = np.where(a == 0, b, a)
-    both = (a != 0) & (b != 0)
-    if both.any():
-        la = logt[a[both]]
-        lb = logt[b[both]]
-        z = zecht[(lb - la) % qm1]
-        vals = np.zeros(la.shape[0], dtype=np.int64)
-        good = z >= 0
-        vals[good] = expt[(la[good] + z[good]) % qm1]
-        out[both] = vals
-    return out
+def _lane_block(p, D):
+    # words a lane of 64 // D bits takes between two reductions: each adds
+    # at most p - 1, on top of the at most p - 1 the last reduction left
+    block = ((1 << 64 // D) - 1) // (p - 1) - 1
+    assert block >= 1, "a digit lane cannot hold one word"
+    return block
 
 
-def series_add_merge(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
+def _reduce_lanes(words, p, D, radix):
+    """Each lane of words mod p, recombined with digit d weighted radix**d."""
+    return lane_digits(words, D) % p @ radix ** np.arange(D, dtype=np.int64)
+
+
+def sum_terms(e, c, lane, p, D, cap, copies):
+    """Field sums of the packed coefficients c of equal exponents e: the
+    distinct exponents below cap whose sum is nonzero, ascending, and the
+    sums.  One exponent occurs at most copies times; past a lane block the
+    words go in a block of terms at a time."""
+    ee = np.sort(e)
+    first = np.ones(len(ee), dtype=bool)
+    first[1:] = ee[1:] != ee[:-1]
+    ee = ee[first]
+    at = np.searchsorted(ee, e)  # each term's rank among the distinct exponents
+    if len(ee) == len(e):
+        # no exponent repeats, so there is nothing to add
+        cc = np.empty_like(c)
+        cc[at] = c
+    else:
+        block = _lane_block(p, D)
+        step = len(e) if copies <= block else block
+        acc = np.zeros(len(ee), dtype=np.int64)
+        for i in range(0, len(e), step):
+            if i:
+                acc = _reduce_lanes(acc, p, D, 1 << 64 // D)
+            np.add.at(acc, at[i:i + step], lane[c[i:i + step]])
+        cc = _reduce_lanes(acc, p, D, p)
+    keep = (cc != 0) & (ee < cap)
+    return ee[keep], cc[keep]
+
+
+def series_add_merge(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
     """Merge-add two canonical series, dropping exponents >= cap and zeros."""
     if len(e1) == 0:
         keep = e2 < cap
@@ -63,24 +89,11 @@ def series_add_merge(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap
     if len(e2) == 0:
         keep = e1 < cap
         return e1[keep].copy(), c1[keep].copy()
-    ee = np.union1d(e1, e2)
-    a = np.zeros(len(ee), dtype=np.int64)
-    a[np.searchsorted(ee, e1)] = c1
-    b = np.zeros(len(ee), dtype=np.int64)
-    b[np.searchsorted(ee, e2)] = c2
-    cc = _add_arrays(a, b, logt, expt, zecht, qm1)
-    keep = (cc != 0) & (ee < cap)
-    return ee[keep], cc[keep]
+    # canonical operands: one exponent occurs at most twice
+    return sum_terms(np.concatenate((e1, e2)), np.concatenate((c1, c2)), lane, p, D, cap, 2)
 
 
-def _reduce_lanes(words, p, D, bits, radix):
-    """Each lane of words mod p, recombined with digit d weighted radix**d."""
-    d = np.arange(D, dtype=np.int64)
-    digits = (words[:, None] >> (bits * d)) & ((1 << bits) - 1)
-    return digits % p @ radix ** d
-
-
-def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
+def series_mul(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
     """Full sparse product truncated at cap."""
     if len(e1) == 0 or len(e2) == 0:
         return _EMPTY.copy(), _EMPTY.copy()
@@ -97,12 +110,8 @@ def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
     if window > _DENSE_WINDOW:
         offsets = (e1[:, None] + d2).ravel()
         occ = np.unique(offsets[offsets < window])
-    bits = 64 // D
-    # a lane holds 2**bits - 1; each row adds at most p - 1 to it (a row's
-    # slots are distinct), on top of the at most p - 1 that the last
-    # reduction left
-    block = ((1 << bits) - 1) // (p - 1) - 1
-    assert block >= 1, "a digit lane cannot hold one row"
+    # a row's slots are distinct, so a row adds one word to a lane
+    block = _lane_block(p, D)
     rows = max(1, min(block, _PAIRS // len(e2)))
     l1 = logt[c1]
     l2 = logt[c2]
@@ -115,7 +124,7 @@ def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
         k = min(rows, len(e1) - i)
         if since + k > block:
             nz = np.flatnonzero(acc)
-            acc[nz] = _reduce_lanes(acc[nz], p, D, bits, 1 << bits)
+            acc[nz] = _reduce_lanes(acc[nz], p, D, 1 << 64 // D)
             since = 0
         since += k
         assert since <= block, "a digit lane could overflow"
@@ -124,7 +133,7 @@ def series_mul(e1, c1, e2, c2, logt, expt, zecht, lane_exp, qm1, p, D, cap):
         slots = pos[m] if occ is None else np.searchsorted(occ, pos[m])
         np.add.at(acc, slots, lane_exp[(l1[r, None] + l2)[m] % qm1])
     nz = np.flatnonzero(acc)
-    coeffs = _reduce_lanes(acc[nz], p, D, bits, p)
+    coeffs = _reduce_lanes(acc[nz], p, D, p)
     keep = coeffs != 0
     exps = nz if occ is None else occ[nz]
     return exps[keep] + base, coeffs[keep]

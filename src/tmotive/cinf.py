@@ -34,8 +34,8 @@ from .ffield import FFElem, Poly, find_root_in_field
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# clamp for precision numerators; twisting multiplies P by q^i and the
-# extra headroom beyond this is never observable at desk scale
+# clamp for precision numerators (twisting multiplies P by q^i); a
+# clamped series drops its terms at or past the clamp
 _PREC_CAP = 1 << 44
 _INT64_MAX = (1 << 63) - 1
 
@@ -52,33 +52,20 @@ class CinfElem:
     def __init__(self, spec, ram, prec, exps=None, coeffs=None, _canonical=False):
         self.spec = spec
         self.ram = int(ram)
-        self.prec = min(int(prec), _PREC_CAP)
+        self.prec = int(prec)
         if exps is None:
-            self.exps = _EMPTY
-            self.coeffs = _EMPTY
-            return
-        if _canonical:
-            self.exps = exps
-            self.coeffs = coeffs
-            return
-        e = np.asarray(exps, dtype=np.int64)
-        c = np.asarray(coeffs, dtype=np.int64)
-        order = np.argsort(e, kind="stable")
-        e, c = e[order], c[order]
-        if len(e) > 1 and (e[1:] == e[:-1]).any():
-            # merge repeated exponents with field addition
-            me, mc = [], []
-            for ei, ci in zip(e.tolist(), c.tolist()):
-                if me and me[-1] == ei:
-                    mc[-1] = spec.add_packed(mc[-1], ci)
-                else:
-                    me.append(ei)
-                    mc.append(ci)
-            e = np.asarray(me, dtype=np.int64)
-            c = np.asarray(mc, dtype=np.int64)
-        keep = (c != 0) & (e < self.prec)
-        self.exps = e[keep]
-        self.coeffs = c[keep]
+            exps = coeffs = _EMPTY
+        elif not _canonical:
+            # sort, field-add the coefficients of repeated exponents, cut
+            e = np.asarray(exps, dtype=np.int64)
+            exps, coeffs = _kernels.sum_terms(e, np.asarray(coeffs, dtype=np.int64),
+                                              spec.lane_np, spec.p, spec.D, self.prec, len(e))
+        if self.prec > _PREC_CAP:
+            self.prec = _PREC_CAP
+            cut = np.searchsorted(exps, _PREC_CAP)
+            exps, coeffs = exps[:cut], coeffs[:cut]
+        self.exps = exps
+        self.coeffs = coeffs
 
     # -- constructors --------------------------------------------------------
 
@@ -166,7 +153,7 @@ class CinfElem:
         s = a.spec
         e, c = _kernels.series_add_merge(
             a.exps, a.coeffs, b.exps, b.coeffs,
-            s.log_np, s.exp_np, s.zech_np, s.lane_exp_np,
+            s.log_np, s.exp_np, s.lane_np, s.lane_exp_np,
             s.order - 1, s.p, s.D, cap)
         return CinfElem(s, a.ram, cap, e, c, _canonical=True)
 
@@ -189,7 +176,7 @@ class CinfElem:
         s = a.spec
         e, c = _kernels.series_mul(
             a.exps, a.coeffs, b.exps, b.coeffs,
-            s.log_np, s.exp_np, s.zech_np, s.lane_exp_np,
+            s.log_np, s.exp_np, s.lane_np, s.lane_exp_np,
             s.order - 1, s.p, s.D, cap)
         return CinfElem(s, a.ram, cap, e, c, _canonical=True)
 
@@ -367,8 +354,8 @@ def q_twist(x, i):
 
     Negative i lifts the ramification by q^|i| so exponent division stays
     integral; the coefficient inverse twist always exists in the ambient
-    field.  Precision multiplies by q^i, up to the clamp _PREC_CAP, and
-    terms at or beyond the clamped precision are dropped.  Raises
+    field.  Precision multiplies by q^i, up to the clamp _PREC_CAP, which
+    drops the terms at or beyond it (CinfElem's constructor).  Raises
     PrecisionError when a scaled exponent does not fit in int64.
     """
     if i == 0:
@@ -382,10 +369,6 @@ def q_twist(x, i):
             raise PrecisionError(f"exponent overflow in the twist by q^{i}")
         exps = exps * f
         prec = x.prec * f
-        if prec > _PREC_CAP:
-            prec = _PREC_CAP
-            cut = np.searchsorted(exps, prec)
-            exps, coeffs = exps[:cut], coeffs[:cut]
     else:
         f = spec.q ** (-i)
         ram = x.ram * f

@@ -4,10 +4,10 @@ The ambient field houses every scalar of the package: the quadratic
 element omega in F_{q^2} - F_q, the roots that c_root takes of leading
 coefficients (the period's among them), and all series coefficients.  Elements are
 stored as integers in [0, p^D) packing the coefficient vector base p
-(low degree first).  A FieldSpec builds discrete log / exp / Zech tables
-and the digit-lane words of exp once, after which multiplication,
-inversion, addition and Frobenius are O(1) table lookups.  The same
-tables back the series kernels.
+(low degree first).  A FieldSpec builds discrete log / exp tables and
+the lane word of every element once: multiplication, inversion and
+Frobenius are O(1) table lookups, and addition adds two lane words and
+reads each digit back mod p.  The same tables back the series kernels.
 
 q = p^s must be odd: the stabilizer block shape (G, w^2 H; H, G) needs
 an omega with omega^2 in F_q, which no even-q field provides.
@@ -126,6 +126,13 @@ def default_modulus(p, D):
     raise FieldError(f"no irreducible polynomial of degree {D} over F_{p}")
 
 
+def lane_digits(words, D):
+    """The D lanes of lane words (FieldSpec.lane_np: digit d in bits
+    [b*d, b*d + b), b = 64 // D), on a new last axis."""
+    bits = 64 // D
+    return (words[..., None] >> (bits * np.arange(D))) & ((1 << bits) - 1)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -136,12 +143,12 @@ class FieldSpec:
 
     * ``exp[j]``  packed value of g**j for a fixed generator g,
     * ``log[x]``  discrete log of packed x (log[0] = -1),
-    * ``zech[j]`` log(1 + g**j), or -1 when 1 + g**j = 0,
-    * ``lane_exp_np[j]`` the D digits of exp[j], digit d in bits
-      [b*d, b*d + b) of one int64 word, b = 64 // D (the product kernel's
-      lane words).
+    * ``lane_np[x]`` the D digits of packed x, digit d in bits
+      [b*d, b*d + b) of one int64 word, b = 64 // D, and
+      ``lane_exp_np[j] = lane_np[exp[j]]``.
 
-    Addition of nonzero x, y is exp[(log x + Z((log y - log x) mod Q-1)) mod Q-1].
+    Addition is digit-wise mod p: x + y adds lane_np[x] and lane_np[y]
+    and reduces each lane mod p, as the series kernels do for arrays.
     """
 
     def __init__(self, p, s=1, D=None):
@@ -204,42 +211,30 @@ class FieldSpec:
             exp[j] = x
             log[x] = j
             x = self._mul_packed_slow(x, g)
-        # Zech logarithms: add 1 digit-wise, then look the log up
-        zech = [0] * qm1
-        for j in range(qm1):
-            y = exp[j]
-            d = list(_digits(y, self.p, self.D))
-            d[0] = (d[0] + 1) % self.p
-            ypl1 = _pack(d, self.p)
-            zech[j] = -1 if ypl1 == 0 else log[ypl1]
         self.generator = g
         self._exp = exp
         self._log = log
-        self._zech = zech
         self.exp_np = np.asarray(exp, dtype=np.int64)
         self.log_np = np.asarray(log, dtype=np.int64)
-        self.zech_np = np.asarray(zech, dtype=np.int64)
-        self._neg_one = self.pow_packed(self.p - 1, 1) if self.p > 2 else 1
-        # one word per element, so a product adds each term with one integer add
+        # one word per element, so a sum adds each term with one integer add
         bits = 64 // self.D
-        rest = self.exp_np.copy()
-        self.lane_exp_np = np.zeros(qm1, dtype=np.int64)
+        rest = np.arange(Q, dtype=np.int64)
+        self.lane_np = np.zeros(Q, dtype=np.int64)
         for d in range(self.D):
-            self.lane_exp_np |= (rest % self.p) << (bits * d)
+            self.lane_np |= (rest % self.p) << (bits * d)
             rest //= self.p
+        self.lane_exp_np = self.lane_np[self.exp_np]
+        # add_packed's scalar form of lane_digits
+        self._lane = self.lane_np.tolist()
+        self._lane_places = [(bits * d, self.p ** d) for d in range(self.D)]
+        self._lane_mask = (1 << bits) - 1
 
     # -- packed scalar ops ---------------------------------------------------
 
     def add_packed(self, a, b):
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la, lb = self._log[a], self._log[b]
-        z = self._zech[(lb - la) % (self.order - 1)]
-        if z < 0:
-            return 0
-        return self._exp[(la + z) % (self.order - 1)]
+        w = self._lane[a] + self._lane[b]
+        p, mask = self.p, self._lane_mask
+        return sum((w >> bit & mask) % p * weight for bit, weight in self._lane_places)
 
     def neg_packed(self, a):
         if a == 0 or self.p == 2:
@@ -431,14 +426,15 @@ def find_root_in_field(poly):
     if all(c.is_zero() for c in coeffs):
         raise ValueError("zero polynomial")
     spec = coeffs[0].spec
-    rev = coeffs[::-1]
+    rev = [c.idx for c in reversed(coeffs)]
     for x in range(spec.order):
-        e = FFElem(spec, x)
-        acc = spec.zero
+        acc = 0
         for c in rev:
-            acc = acc * e + c
-        if acc.is_zero():
-            return e
+            acc = spec.mul_packed(acc, x)
+            if c:  # c_root's X^m - lead has two nonzero coefficients
+                acc = spec.add_packed(acc, c)
+        if acc == 0:
+            return FFElem(spec, x)
     return None
 
 

@@ -31,7 +31,7 @@ from .anderson import exp_coeffs, exp_eval, make_tmotive
 from .cinf import CinfElem, c_conj, c_inv, c_root, contract, q_twist, theta_ij
 from .errors import (GammaShapeError, PrecisionError, RecoveryError,
                      SingularMatrixError)
-from .ffield import FFPoly, ffpoly_det, omega_split
+from .ffield import FFPoly, ffpoly_det, lane_digits, omega_split
 from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec,
                      mat_min_valuation, mat_mul, mat_sub, split_blocks)
 
@@ -501,12 +501,6 @@ def _fp_nullspace(a, p):
     return list(basis)
 
 
-def _lane_digits(spec, words):
-    """Base-p digits of lane words (FieldSpec.lane_exp_np entries), last axis D."""
-    bits = 64 // spec.D
-    return (words[..., None] >> (bits * np.arange(spec.D))) & ((1 << bits) - 1)
-
-
 def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     """Polynomial blocks C = [[X, Y], [U, V]] with Z1 (X + Y Z2) = U + V Z2.
 
@@ -535,7 +529,7 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     tol = Fraction(prec, ram) - slack_units
     log_b = spec.log_np[spec.subfield_basis(1)]
     stride = len(log_b)
-    basis_digits = _lane_digits(spec, spec.lane_exp_np[log_b])
+    basis_digits = lane_digits(spec.lane_exp_np[log_b], spec.D)
     log_neg = int(spec.log_np[p - 1])
     one = CinfElem.const(spec, ram, prec, spec.one)
 
@@ -569,7 +563,7 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
                 log_c = spec.log_np[s.coeffs[at]] + (log_neg if neg else 0)
                 words = spec.lane_exp_np[(log_c[..., None] + log_b) % qm1]
                 words[s.exps[at] != target] = 0
-                block[:, :, blk, l, m] = _lane_digits(spec, words).transpose(1, 3, 0, 2)
+                block[:, :, blk, l, m] = lane_digits(words, spec.D).transpose(1, 3, 0, 2)
             blocks.append(block.reshape(len(exps) * spec.D, -1))
         if not blocks:
             continue

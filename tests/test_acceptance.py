@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from tmotive import acceptance
+from tmotive import acceptance, cinf
 from tmotive.acceptance import run_criterion
 from tmotive.anderson import make_tmotive
 from tmotive.config import Config
@@ -37,6 +37,16 @@ def test_criterion(number):
     res = run_criterion(number, CFG)
     print(res.line())
     assert res.passed, f"criterion {number} failed: {res.details}"
+
+
+def test_criterion_1_names_coefficients_past_the_precision_clamp(monkeypatch):
+    # C8 leads at valuation 4 * 3^8 units, exponent numerator 209,952 at
+    # ram 8, past a clamp of 2^17: both sides are zero there, and the
+    # details name it (q = 25 meets the real clamp 2^44 the same way)
+    monkeypatch.setattr(cinf, "_PREC_CAP", 1 << 17)
+    res = acceptance.criterion_1(Config(prec=60))
+    assert res.passed, res.details
+    assert res.details["vacuous"] == ["C8"]
 
 
 def test_criterion_8_reruns_above_working_precision(monkeypatch):

@@ -55,6 +55,43 @@ def test_construction_merges_repeated_exponents(F):
     assert y.is_zero()  # 1 + 2 = 0 mod 3
 
 
+def _digit_sum(G, cs):
+    """Field sum of packed values, digit by digit."""
+    digits = [sum(col) for col in zip(*(G.el(c).coeffs() for c in cs))]
+    return G.from_coeffs(digits)
+
+
+@pytest.mark.parametrize("p,s,D,copies", [(3, 2, 8, 128), (3, 2, 8, 300), (7, 1, 4, 11000)])
+def test_repeated_exponents_sum_exactly_at_any_multiplicity(p, s, D, copies):
+    # an 8-bit lane at q = 9 holds 127 digits of 2, a 16-bit one at p = 7
+    # 10,922 digits of 6; a sum of lane words past that overflows into the
+    # next digit, so the constructor must reduce between blocks of terms
+    G = ambient_field(p, s, D)
+    rng = random.Random(copies)
+    top = G.order - 1  # every digit p - 1
+    mixed = [rng.randrange(G.order) for _ in range(copies)]
+    terms = [(3, 2)] * copies + [(5, top)] * copies + [(8, c) for c in mixed]
+    rng.shuffle(terms)
+    x = CinfElem.from_terms(G, 1, 10, terms)
+    want = [(e, _digit_sum(G, cs)) for e, cs in
+            ((3, [2] * copies), (5, [top] * copies), (8, mixed))]
+    assert term_items(x) == [(e, c) for e, c in want if not c.is_zero()]
+
+
+def test_no_term_at_or_past_the_clamped_precision(F):
+    cap = cinf._PREC_CAP
+    x = CinfElem.from_terms(F, 1, cap, [(5, F.one), (cap - 3, F.one), (cap - 1, F.one)])
+    near = {"shift": x.shift(2), "lift_ram": x.lift_ram(2), "truncate": x.truncate(cap + 10),
+            "from_terms": CinfElem.from_terms(F, 1, cap + 5, [(cap + 1, F.one)]),
+            "c_inv": c_inv(CinfElem.monomial(F, 1, 8, -cap, F.one))}
+    for name, y in near.items():
+        assert y.prec == cap, name
+        assert (y.exps < y.prec).all(), name
+    assert term_items(near["shift"]) == [(7, F.one), (cap - 1, F.one)]
+    assert term_items(near["lift_ram"]) == [(10, F.one)]
+    assert near["c_inv"].is_zero()  # its one term, t^cap, is cut
+
+
 def test_theta_difference_shape(F):
     t20 = theta_ij(F, N, PU, 2, 0)
     assert t20.valuation() == Fraction(-9)

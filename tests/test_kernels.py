@@ -1,4 +1,12 @@
-"""The series kernels against a schoolbook product and merge, bit for bit."""
+"""The series kernels against a schoolbook product and merge, bit for bit.
+
+The schoolbook adds field elements digit by digit, from their digit
+lists (FFElem.coeffs, FieldSpec.from_coeffs), so it shares no lane
+arithmetic with the kernels or with FieldSpec.add_packed, which it also
+checks.
+"""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -38,29 +46,36 @@ def _rand_series(rng, G, n, lo=-100, hi=1600):
 
 
 def _args(G, cap):
-    return G.log_np, G.exp_np, G.zech_np, G.lane_exp_np, G.order - 1, G.p, G.D, cap
+    return G.log_np, G.exp_np, G.lane_np, G.lane_exp_np, G.order - 1, G.p, G.D, cap
 
 
-def _canonical(acc):
-    exps = sorted(e for e, c in acc.items() if c)
-    return exps, [acc[e] for e in exps]
+@lru_cache(maxsize=None)
+def _digit_lists(G):
+    return [G.el(x).coeffs() for x in range(G.order)]
+
+
+def _schoolbook_sum(G, terms, cap):
+    """Canonical sum of (exponent, packed coefficient) terms below cap:
+    the digit lists of each exponent's coefficients added as integers,
+    then reduced mod p by from_coeffs."""
+    digits = _digit_lists(G)
+    acc = {}
+    for e, c in terms:
+        if e < cap:
+            acc[e] = [u + v for u, v in zip(acc.get(e, [0] * G.D), digits[c])]
+    packed = {e: G.from_coeffs(d).idx for e, d in acc.items()}
+    exps = sorted(e for e, c in packed.items() if c)
+    return exps, [packed[e] for e in exps]
 
 
 def _schoolbook_mul(G, e1, c1, e2, c2, cap):
-    acc = {}
-    for a, x in zip(e1.tolist(), c1.tolist()):
-        for b, y in zip(e2.tolist(), c2.tolist()):
-            if a + b < cap:
-                acc[a + b] = G.add_packed(acc.get(a + b, 0), G.mul_packed(x, y))
-    return _canonical(acc)
+    return _schoolbook_sum(G, ((a + b, G.mul_packed(x, y))
+                               for a, x in zip(e1.tolist(), c1.tolist())
+                               for b, y in zip(e2.tolist(), c2.tolist())), cap)
 
 
 def _schoolbook_add(G, e1, c1, e2, c2, cap):
-    acc = {}
-    for e, c in zip(e1.tolist() + e2.tolist(), c1.tolist() + c2.tolist()):
-        if e < cap:
-            acc[e] = G.add_packed(acc.get(e, 0), c)
-    return _canonical(acc)
+    return _schoolbook_sum(G, zip(e1.tolist() + e2.tolist(), c1.tolist() + c2.tolist()), cap)
 
 
 def _check_mul(G, e1, c1, e2, c2, cap):
@@ -97,15 +112,30 @@ def test_mul_at_chunk_extremes(F, F5, F7, F9, monkeypatch, pairs):
 
 
 @pytest.mark.parametrize("size", [1, 9, 300])
-def test_add_matches_schoolbook(F, F9, size):
+def test_add_matches_schoolbook(F, F5, F7, F9, size):
     # a narrow exponent range makes the operands overlap and cancel
     rng = np.random.default_rng(size + 100)
-    for G in (F, F9):
+    for G in (F, F5, F7, F9):
         for lo, hi in ((-100, 1600), (0, size + 20)):
             for _ in range(4):
                 e1, c1 = _rand_series(rng, G, size, lo, hi)
                 e2, c2 = _rand_series(rng, G, size, lo, hi)
                 _check_add(G, e1, c1, e2, c2, int(rng.integers(lo, hi + 100)))
+
+
+def _digit_add(G, a, b):
+    return G.from_coeffs([u + v for u, v in zip(G.el(a).coeffs(), G.el(b).coeffs())]).idx
+
+
+def test_add_packed_matches_digit_oracle(F, F5, F7, F9):
+    # every pair at q = 3, zeros and x + (-x) among them
+    assert [F.add_packed(a, b) for a in range(F.order) for b in range(F.order)] == [
+        _digit_add(F, a, b) for a in range(F.order) for b in range(F.order)]
+    rng = np.random.default_rng(11)
+    for G in (F5, F7, F9):
+        pairs = rng.integers(0, G.order, size=(2000, 2)).tolist()
+        pairs += [[a, G.neg_packed(a)] for a, _ in pairs[:100]]
+        assert [G.add_packed(a, b) for a, b in pairs] == [_digit_add(G, a, b) for a, b in pairs]
 
 
 def test_cap_at_or_below_base(F, F9):
@@ -205,4 +235,4 @@ def test_kernel_asserts_its_bounds(F):
     # 8-bit lanes cannot take one row of digits up to p - 1 = 255
     with pytest.raises(AssertionError, match="lane"):
         pure.series_mul(np.zeros(1, dtype=np.int64), one, np.zeros(1, dtype=np.int64), one,
-                        F.log_np, F.exp_np, F.zech_np, F.lane_exp_np, F.order - 1, 257, 8, 10)
+                        F.log_np, F.exp_np, F.lane_np, F.lane_exp_np, F.order - 1, 257, 8, 10)
