@@ -20,7 +20,7 @@ against that closed form computed along an independent path.
 from fractions import Fraction
 from math import inf
 
-from .cinf import CinfElem, PolyT, c_inv, q_twist, theta, theta_ij
+from .cinf import CinfElem, PolyT, inv_theta_i0, q_twist, theta
 from .errors import NeighborhoodError, PrecisionError
 from .linalg import (eye, mat_add, mat_min_prec, mat_min_valuation, mat_mul,
                      mat_twist, zeros)
@@ -117,6 +117,13 @@ def exp_coeffs(motive, imax=None, z_floor=None):
     clear the working precision of the motive and increase monotonically,
     which certifies that the dropped tail lies beyond that precision for
     any evaluation point of valuation >= z_floor.
+
+    Step i divides by theta_i0 = theta^(q^i) - theta, a constant of the
+    family.  With Q = q^i and theta = 1/t it factors as
+    t^(-Q) (1 - t^(Q-1)), so its inverse is the geometric series
+    t^Q sum_(k>=0) t^(k(Q-1)), every coefficient 1: cinf.inv_theta_i0
+    writes it down at c_inv's declared precision instead of running a
+    Newton inversion per step and per motive.
     """
     spec, n = motive.spec, motive.n
     q = spec.q
@@ -137,7 +144,7 @@ def exp_coeffs(motive, imax=None, z_floor=None):
         i += 1
         if i > _IMAX_HARD_CAP or (q ** i) * ram > (1 << 60):
             raise PrecisionError("coefficient recursion did not certify its tail")
-        inv_ti0 = c_inv(theta_ij(spec, ram, prec_units, i, 0))
+        inv_ti0 = inv_theta_i0(spec, ram, prec_units, i)
         term = mat_twist(prev, 2) if i >= 2 else zeros(spec, ram, prec, n)
         if not motive.is_base_point():
             term = mat_add(term, mat_mul(motive.A, mat_twist(C[-1], 1)))

@@ -277,6 +277,22 @@ def theta_ij(spec, ram, prec_units, i, j):
     return theta_q_pow(spec, ram, prec_units, i) - theta_q_pow(spec, ram, prec_units, j)
 
 
+def inv_theta_i0(spec, ram, prec_units, i):
+    """(theta^(q^i) - theta)^(-1) for i >= 1, in closed form.
+
+    With Q = q^i, theta^Q - theta = t^(-Q) (1 - t^(Q-1)), so the inverse
+    is the geometric series t^Q sum_(k>=0) t^(k(Q-1)): coefficient 1 at
+    every numerator N Q + k N (Q - 1).  The declared precision is c_inv's
+    on theta_ij(spec, ram, prec_units, i, 0), P + 2 N Q with P =
+    prec_units * N, clamped at _PREC_CAP by the constructor.
+    """
+    Q = spec.q ** i
+    prec = prec_units * ram + 2 * ram * Q
+    exps = np.arange(ram * Q, prec, ram * (Q - 1), dtype=np.int64)
+    return CinfElem(spec, ram, prec, exps, np.full(len(exps), spec.one.idx, dtype=np.int64),
+                    _canonical=True)
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -403,7 +419,10 @@ def c_root(x, m):
     """y with y^m = x, for gcd(m, p) = 1.
 
     Peels the leading monomial and takes the field m-th root of its
-    coefficient by exhaustive scan; the unit's root is unit y^(m - 1) with
+    coefficient.  In the cyclic group F_{p^D}^* a root of X^m = lead
+    exists iff gcd(m, p^D - 1) divides log(lead), so that test raises at
+    once; the root itself is the first one in packed order, found by
+    exhaustive scan.  The unit's root is unit y^(m - 1) with
     y = unit^(-1/m) from the shared Newton iteration
     y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) steps whose
     precision doubles up to the unit's relative precision rel (the root
@@ -421,10 +440,10 @@ def c_root(x, m):
     if x.min_exp() % m != 0:
         x = x.lift_ram(x.ram * m)
     e0, lead, unit = _peel(x)
-    root = find_root_in_field([-lead] + [spec.zero] * (m - 1) + [spec.one])  # X^m - lead
-    if root is None:
+    if spec._log[lead.idx] % gcd(m, spec.order - 1):
         raise PrecisionError(
             f"leading coefficient has no {m}-th root in the ambient field; raise D")
+    root = find_root_in_field([-lead] + [spec.zero] * (m - 1) + [spec.one])  # X^m - lead
     # both factors are 1 + O(t), so the product keeps the unit's precision
     w = unit * _newton_inv_root(unit, m) ** (m - 1)
     return w.scale(root).shift(e0 // m)

@@ -65,7 +65,7 @@ def carlitz_period(spec, ram=None, prec_units=200):
     ram = ram or q * q - 1
     key = (id(spec), ram, prec_units)
     if key in _PERIOD_CACHE:
-        return _PERIOD_CACHE[key]
+        return _PERIOD_CACHE[key][0]
     base = make_tmotive([[CinfElem.zero(spec, ram, prec_units * ram)]])
     coeffs = exp_coeffs(base, z_floor=Fraction(-q * q, q * q - 1))
     c2 = coeffs.C[2][0][0]
@@ -75,8 +75,18 @@ def carlitz_period(spec, ram=None, prec_units=200):
     # z^(q^2-1) = -theta_20 balances the two lowest terms exactly
     guess = c_root(-theta_ij(spec, ram, prec_units, 2, 0), q * q - 1)
     y0 = perturbed_root([guess], coeffs)[0]
-    _PERIOD_CACHE[key] = y0
+    _PERIOD_CACHE[key] = [y0, None]  # 1/y0 comes with the first lattice
     return y0
+
+
+def _period_and_inverse(spec, ram, prec_units):
+    """y0 and 1/y0; the inverse is formed on the first call and kept
+    beside y0 in the period cache."""
+    y0 = carlitz_period(spec, ram, prec_units)
+    entry = _PERIOD_CACHE[(id(spec), ram, prec_units)]
+    if entry[1] is None:
+        entry[1] = c_inv(y0)
+    return y0, entry[1]
 
 
 def perturbed_root(anchor, coeffs):
@@ -174,11 +184,10 @@ def lattice_of(motive, coeffs=None):
     """
     spec, n = motive.spec, motive.n
     ram = motive.ram
-    y0 = carlitz_period(spec, ram, motive.prec // ram)
+    y0, inv_y0 = _period_and_inverse(spec, ram, motive.prec // ram)
     if coeffs is None:
         coeffs = exp_coeffs(motive)  # certified down to the period's valuation
     w = spec.omega
-    inv_y0 = c_inv(y0)
     zero = CinfElem.zero(spec, y0.ram, y0.prec)
     rows = []
     for scale in (spec.one, w):

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from tmotive import cinf
 from tmotive.errors import NeighborhoodError, PrecisionError
 from tmotive.ffield import ambient_field
 from tmotive.cinf import CinfElem, PolyT, c_inv, theta_ij, t_uniformizer
@@ -71,6 +72,22 @@ def test_first_coefficient_linear_in_A(F):
     a = t_uniformizer(F, N, PU) ** 3
     co = exp_coeffs(make_tmotive([[a]]))
     assert co.C[1][0][0].same_terms(a * c_inv(theta_ij(F, N, PU, 1, 0)))
+
+
+def test_recursion_runs_no_newton_inversion(F, monkeypatch):
+    # the theta-difference inverses come in closed form, for every motive
+    t = t_uniformizer(F, N, PU)
+    motive = make_tmotive([[t ** 2 + t ** 5]])
+    want = exp_coeffs(motive).C
+
+    def refuse(unit, m):
+        raise AssertionError("Newton inversion inside exp_coeffs")
+
+    monkeypatch.setattr(cinf, "_newton_inv_root", refuse)
+    got = exp_coeffs(motive).C
+    assert len(got) == len(want)
+    assert all(a == b for Ca, Cb in zip(got, want) for ra, rb in zip(Ca, Cb)
+               for a, b in zip(ra, rb))
 
 
 def test_valuation_growth_persists_off_base(F):

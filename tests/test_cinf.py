@@ -8,8 +8,8 @@ import pytest
 from tmotive import cinf
 from tmotive.errors import PrecisionError
 from tmotive.ffield import FFElem, FFPoly, ambient_field, find_root_in_field
-from tmotive.cinf import (CinfElem, PolyT, c_inv, c_root, q_twist, theta, theta_ij,
-                          t_uniformizer)
+from tmotive.cinf import (_PREC_CAP, CinfElem, PolyT, c_inv, c_root, inv_theta_i0, q_twist,
+                          theta, theta_ij, t_uniformizer)
 
 N, PU = 8, 200
 
@@ -321,6 +321,56 @@ def test_newton_precision_doubles_per_step(F, monkeypatch):
     assert schedule[0] == 2 and schedule[-1] == rel
     assert caps == [P for P in schedule for _ in range(2)]
     assert y == _oracle_inv(x)
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 8)])
+def test_inverse_theta_difference_closed_form(p, s, D):
+    # every step exp_coeffs may take: q^i ram <= 2^60 (its int64 guard)
+    G = ambient_field(p, s, D)
+    q = G.q
+    clamped = 0
+    for ram in (1, q * q - 1):
+        for prec_units in (30, 200):
+            i = 1
+            while q ** i * ram <= 1 << 60:
+                want = c_inv(theta_ij(G, ram, prec_units, i, 0))
+                got = inv_theta_i0(G, ram, prec_units, i)
+                assert got.prec == want.prec
+                assert got.exps.tolist() == want.exps.tolist()
+                assert got.coeffs.tolist() == want.coeffs.tolist()
+                clamped += prec_units * ram + 2 * ram * q ** i > _PREC_CAP
+                i += 1
+    assert clamped  # the cases past the precision clamp are among them
+
+
+def test_root_existence_is_decided_before_the_scan(monkeypatch):
+    G = ambient_field(3, 2, 8)  # q = 9, 6561 elements
+    m = G.q * G.q - 1
+    gen = G.el(int(G.exp_np[1]))  # log 1: no m-th root, as gcd(m, 6560) = 80
+    scans = []
+
+    def spy(poly):
+        scans.append(poly)
+        return find_root_in_field(poly)
+
+    monkeypatch.setattr(cinf, "find_root_in_field", spy)
+    with pytest.raises(PrecisionError):
+        c_root(CinfElem.monomial(G, 1, 30, 0, gen), m)
+    assert scans == []
+    # a lead with a root still takes the first root in packed order
+    lead = gen ** m
+    r = c_root(CinfElem.monomial(G, 1, 30, 0, lead), m)
+    assert len(scans) == 1
+    assert r.leading() == (0, find_root_in_field(scans[0]))
+
+
+def test_root_existence_matches_the_scan(F):
+    for m in (2, 4, 5, 8, 10, 16, 20):
+        for idx in range(1, F.order):
+            lead = F.el(idx)
+            x = CinfElem.monomial(F, 1, 10, 0, lead)
+            has = find_root_in_field([-lead] + [F.zero] * (m - 1) + [F.one]) is not None
+            assert (_outcome(c_root, x, m) != "PrecisionError") == has
 
 
 def test_period_guess_root_matches_hensel(F):

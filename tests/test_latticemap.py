@@ -62,6 +62,26 @@ def test_period_deterministic(F, y0):
     assert y_hi.truncate(y0.prec) == y0
 
 
+def test_period_inverse_formed_once_per_period(F, monkeypatch):
+    # a precision no other test uses, so the period cache starts empty
+    prec_units = 37
+    inversions = []
+
+    def spy(x):
+        inversions.append(x)
+        return c_inv(x)
+
+    monkeypatch.setattr(latticemap, "c_inv", spy)
+    y0 = carlitz_period(F, N, prec_units)
+    assert inversions == []  # the period alone inverts nothing
+    motive = make_tmotive([[CinfElem.monomial(F, N, prec_units * N, 2 * N, F.one)]])
+    first = lattice_of(motive)
+    assert len(inversions) == 1 and inversions[0] is y0
+    second = lattice_of(motive)
+    assert len(inversions) == 1
+    assert all(a == b for ra, rb in zip(first.rows, second.rows) for a, b in zip(ra, rb))
+
+
 def test_perturbed_root_base_returns_anchor(F, y0, base):
     co = exp_coeffs(base)
     assert perturbed_root([y0], co)[0] == y0
