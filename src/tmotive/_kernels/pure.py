@@ -54,7 +54,7 @@ def _reduce_lanes(words, p, D, radix):
     return lane_digits(words, D) % p @ radix ** np.arange(D, dtype=np.int64)
 
 
-def _distinct(a):
+def distinct(a):
     """The distinct values of a, ascending: np.unique by a sort and a
     neighbour compare, which stays off np.unique's hash path."""
     a = np.sort(a)
@@ -68,7 +68,7 @@ def sum_terms(e, c, lane, p, D, cap, copies):
     distinct exponents below cap whose sum is nonzero, ascending, and the
     sums.  One exponent occurs at most copies times; past a lane block the
     words go in a block of terms at a time."""
-    ee = _distinct(e)
+    ee = distinct(e)
     at = np.searchsorted(ee, e)  # each term's rank among the distinct exponents
     if len(ee) == len(e):
         # no exponent repeats, so there is nothing to add
@@ -115,7 +115,7 @@ def series_mul(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
     occ = None  # a wide window's offsets that occur; a slot is a rank in it
     if window > _DENSE_WINDOW:
         offsets = (e1[:, None] + d2).ravel()
-        occ = _distinct(offsets[offsets < window])
+        occ = distinct(offsets[offsets < window])
     # a row's slots are distinct, so a row adds one word to a lane
     block = _lane_block(p, D)
     rows = max(1, min(block, _PAIRS // len(e2)))

@@ -19,7 +19,8 @@ from .ffield import FFPoly
 from .latticemap import (GammaElem, SiegelMatrix, carlitz_period, d10_series,
                          lattice_of, lattices_equal, mobius, mu13, mu34,
                          perturbed_root, random_gamma, siegel_of)
-from .isomsolver import morphism_residual, solve_iso, theorem3_check
+from .isomsolver import (ISO_FLAGS as _ISO_FLAGS, morphism_residual, solve_iso,
+                         theorem3_check)
 from .linalg import eye, mat_sub
 
 
@@ -228,12 +229,6 @@ def criterion_6(cfg, ns=(1, 2)):
                            ok, {"composition": pairs_ok}, time.time() - t0)
 
 
-# the theorem3_check flags criterion 7 requires, besides the literal
-# determinant identity
-_ISO_FLAGS = ("residuals_ok", "det_phi_unit", "det_consistency", "siegel_match",
-              "lattices_equal")
-
-
 def criterion_7(cfg, ns=(1, 2)):
     """Isomorphism pipeline: solve, residuals, determinants, Siegel match."""
     t0 = time.time()
@@ -253,6 +248,7 @@ def criterion_7(cfg, ns=(1, 2)):
             motive = make_tmotive(A, v_min=cfg.v_min)
             g = random_gamma(spec, n, k, rng)
             rep = theorem3_check(motive, g, k=k, slack=cfg.slack)
+            # every theorem3_check flag, and the literal determinant identity
             flags = {f: rep[f] for f in _ISO_FLAGS}
             flags["det_literal"] = rep["solution"].det_literal()
             runs += 1

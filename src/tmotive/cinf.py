@@ -191,6 +191,10 @@ class CinfElem:
         c = spec.exp_np[(spec.log_np[self.coeffs] + spec._log[idx]) % (spec.order - 1)]
         return CinfElem(spec, self.ram, self.prec, self.exps, c, _canonical=True)
 
+    def twist(self, i):
+        """The q^i-power q_twist(self, i)."""
+        return q_twist(self, i)
+
     def shift(self, de):
         """Multiply by t^(de/ram): shift exponents and precision."""
         return CinfElem(self.spec, self.ram, self.prec + de,
@@ -471,6 +475,7 @@ class PolyT(Poly):
     def twist(self, i):
         return PolyT(self.spec, [q_twist(c, i) for c in self.coeffs])
 
-    def min_valuation(self):
+    def valuation(self):
+        """The least valuation of a coefficient, +inf for the zero polynomial."""
         vals = [c.valuation() for c in self.coeffs]
         return min(vals) if vals else inf

@@ -67,11 +67,15 @@ def _series_from_json(spec, obj):
         raise SchemaError(f"bad series object: {exc}") from None
 
 
-def _matrix_from_json(spec, obj):
+def _require_square(obj, name):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise SchemaError("matrix must be a nonempty nested list")
+        raise SchemaError(f"{name} must be a nonempty nested list")
     if any(len(r) != len(obj) for r in obj):
-        raise SchemaError("matrix must be square")
+        raise SchemaError(f"{name} must be square")
+
+
+def _matrix_from_json(spec, obj):
+    _require_square(obj, "matrix")
     return [[_series_from_json(spec, x) for x in r] for r in obj]
 
 
@@ -86,6 +90,8 @@ def _matrix_to_json(m):
 
 def _gamma_from_json(spec, obj):
     try:
+        for name in ("G", "H"):
+            _require_square(obj[name], f"gamma block {name}")
         return GammaElem.from_json(spec, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad gamma object: {exc}") from None
@@ -184,11 +190,7 @@ def cmd_iso_solve(args):
         "det_w1_norm": sol.det_w1_norm.to_json(),
         "det_gamma": sol.det_gamma.to_json(),
         "steps": sol.steps,
-        "flags": {
-            "residuals_ok": sol.residuals_ok(tol),
-            "det_phi_unit": sol.det_phi_is_unit(tol),
-            "det_consistency": sol.det_consistent(),
-        },
+        "flags": sol.flags(tol),
     }
     _emit(report, args)
     return EXIT_OK if all(report["flags"].values()) else EXIT_FAIL

@@ -20,9 +20,11 @@ unknowns B, S_0..S_{k-1}, V_0..V_{k-1}:
 
 The linear part W1 is block triangular with an identity on the S-block
 and a Jordan-like theta band on the V-block; theta-weighting the M-rows
-telescopes the V-band away, so W1^(-1) applications cost one n x n
-series inversion.  Every Picard update must strictly raise its
-valuation, which is the runtime form of 'A small enough'.
+telescopes the V-band away, so W1^(-1) applications cost one product
+with alpha^T, the inverse of the anchor.  alpha^T is polynomial and
+evaluates exactly, so no series matrix is inverted.  Every Picard
+update must strictly raise its valuation, which is the runtime form of
+'A small enough'.
 
 Group notes.  The group elements and their alpha map live on GammaElem
 in the lattice layer: GammaElem.alpha_poly maps (G, w^2 H; H, G) to
@@ -58,11 +60,14 @@ from .errors import GammaShapeError
 from .ffield import ffpoly_det, ffpoly_unit_inv
 from .latticemap import (eval_poly_matrix, lattice_of, lattices_equal, mobius,
                          siegel_of)
-from .linalg import (mat_add, mat_inv, mat_min_prec, mat_min_valuation, mat_mul,
-                     mat_neg, mat_sub, mat_twist, pm_det, pm_min_valuation, pm_twist,
-                     split_blocks, zeros)
+from .linalg import (mat_add, mat_min_prec, mat_min_valuation, mat_mul, mat_neg,
+                     mat_sub, mat_twist, pm_det, split_blocks, transpose, zeros)
 
 _MAX_PICARD_STEPS = 400
+
+# the verdicts of IsoSolution.flags, then the two theorem3_check adds
+ISO_FLAGS = ("residuals_ok", "det_phi_unit", "det_consistency", "siegel_match",
+             "lattices_equal")
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +83,25 @@ class LinearSystem:
     twisted Uhat_i^(1) (zero on the S-rows).
     """
 
-    def __init__(self, spec, n, k, anchor, U_hat, det_w1):
+    def __init__(self, spec, n, k, alpha_t, anchor, U_hat, det_w1):
         self.spec = spec
         self.n = n
         self.k = k
-        self.anchor = anchor        # n x n FFPoly, the inverse transpose of alpha
+        self.alpha_t = alpha_t      # n x n FFPoly, the transpose of alpha
+        self.anchor = anchor        # its inverse
         self.U_hat = U_hat          # its coefficient matrices, padded to degree k
         self.det_w1 = det_w1        # constant FFElem
 
-    def apply_w1_inverse(self, s_rhs, m_rhs, alpha_hat_inv):
+    def apply_w1_inverse(self, s_rhs, m_rhs, alpha_t_hat, u_ser):
         """Solve W1 (B, S, V) = rhs through the block-triangular structure.
 
         s_rhs: k matrices for the S-rows (the identity block), m_rhs: k+1
-        matrices for the M-rows.  Theta-weighting the M-rows telescopes
-        the V band away, leaving alpha_hat B = sum theta^i m_rhs[i]; V
-        back-substitutes from the top row down.
+        matrices for the M-rows, alpha_t_hat: alpha^T evaluated at theta.
+        Theta-weighting the M-rows telescopes the V band away, leaving
+        anchor(theta) B = sum theta^i m_rhs[i].  The anchor is the inverse
+        of alpha^T, so B = alpha_t_hat sum theta^i m_rhs[i] and no series
+        matrix is inverted.  V back-substitutes from the top row down,
+        with Uhat_i B = u_ser[i] B (u_ser: the Uhat_d as constant series).
         """
         k = self.k
         S = list(s_rhs)
@@ -100,12 +109,12 @@ class LinearSystem:
         for i, R in enumerate(m_rhs):
             term = _mat_theta_shift(R, i)
             acc = term if acc is None else mat_add(acc, term)
-        B = mat_mul(alpha_hat_inv, acc)
+        B = mat_mul(alpha_t_hat, acc)
         V = [None] * k
         if k:
-            V[k - 1] = mat_sub(m_rhs[k], _u_mul(self.U_hat, k, B))
+            V[k - 1] = mat_sub(m_rhs[k], mat_mul(u_ser[k], B))
             for i in range(k - 1, 0, -1):
-                V[i - 1] = mat_add(mat_sub(m_rhs[i], _u_mul(self.U_hat, i, B)),
+                V[i - 1] = mat_add(mat_sub(m_rhs[i], mat_mul(u_ser[i], B)),
                                    _mat_theta_shift(V[i], 1))
         return B, S, V
 
@@ -115,27 +124,6 @@ def _mat_theta_shift(m, d):
     if d == 0:
         return m
     return [[x.shift(-d * x.ram) for x in row] for row in m]
-
-
-def _u_mul(U_hat, i, B):
-    """Uhat_i B with the constant coefficient matrix embedded as scalars."""
-    n = len(B)
-    spec = B[0][0].spec
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = None
-            for m in range(n):
-                u = U_hat[i][r][m]
-                if u.is_zero():
-                    continue
-                t = B[m][c].scale(u)
-                acc = t if acc is None else acc + t
-            row.append(acc if acc is not None else
-                       CinfElem.zero(spec, B[0][0].ram, B[m][c].prec))
-        out.append(row)
-    return out
 
 
 def build_linear_system(gamma, k=None):
@@ -149,9 +137,9 @@ def build_linear_system(gamma, k=None):
     spec, n = gamma.spec, gamma.n
     # anchor: inverse transpose of the alpha image, polynomial because the
     # determinant is a constant unit
-    pols = gamma.alpha_poly()
-    anchor = ffpoly_unit_inv([[pols[j][i] for j in range(n)] for i in range(n)])
-    deg_alpha = max(0, max(p.degree() for row in pols for p in row))
+    alpha_t = transpose(gamma.alpha_poly())
+    anchor = ffpoly_unit_inv(alpha_t)
+    deg_alpha = max(0, max(p.degree() for row in alpha_t for p in row))
     deg_anchor = max(0, max(p.degree() for row in anchor for p in row))
     if k is None:
         k = deg_anchor
@@ -164,7 +152,7 @@ def build_linear_system(gamma, k=None):
     det_w1 = ffpoly_det(anchor).constant() ** n
     if k * n % 2:
         det_w1 = -det_w1
-    return LinearSystem(spec, n, k, anchor, U_hat, det_w1)
+    return LinearSystem(spec, n, k, alpha_t, anchor, U_hat, det_w1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +225,12 @@ class IsoSolution:
                 return False
         return True
 
+    def flags(self, tol_units):
+        """The solution's own verdicts, named as in ISO_FLAGS."""
+        return {"residuals_ok": self.residuals_ok(tol_units),
+                "det_phi_unit": self.det_phi_is_unit(tol_units),
+                "det_consistency": self.det_consistent()}
+
 
 def _phi_blocks(system, ansatz, u_ser, ram, prec):
     """Assemble the four blocks from the ansatz; lower row by the two
@@ -250,10 +244,8 @@ def _phi_blocks(system, ansatz, u_ser, ram, prec):
               for j in range(n)] for i in range(n)]
     tmth = PolyT.t_minus(th)
     phi21 = [[tmth * x.twist(1) for x in row] for row in phi12]
-    tw11 = [[x.twist(1) for x in row] for row in phi11]
-    tw12 = [[x.twist(1) for x in row] for row in phi12]
     bmat = [[PolyT.const(x) for x in row] for row in ansatz.B]
-    phi22 = mat_sub(tw11, mat_mul(tw12, bmat))
+    phi22 = mat_sub(mat_twist(phi11, 1), mat_mul(mat_twist(phi12, 1), bmat))
     return phi11, phi12, phi21, phi22
 
 
@@ -304,8 +296,7 @@ def solve_iso(motive, gamma, k=None):
     system = build_linear_system(gamma, k=k)
     spec, n, k = system.spec, system.n, system.k
     ram, prec = motive.ram, motive.prec
-    alpha_hat = eval_poly_matrix(system.anchor, spec, ram, prec // ram * ram)
-    alpha_hat_inv = mat_inv(alpha_hat)
+    alpha_t_hat = eval_poly_matrix(system.alpha_t, spec, ram, prec // ram * ram)
     # the anchor's constant matrices Uhat_d as series, built once per solve
     u_ser = [[[CinfElem.monomial(spec, ram, prec, 0, u) for u in row] for row in Ud]
              for Ud in system.U_hat]
@@ -319,7 +310,7 @@ def solve_iso(motive, gamma, k=None):
         if _min_val(s_eqs + m_eqs) == inf:
             return None, inf
         dB, dS, dV = system.apply_w1_inverse(
-            [mat_neg(e) for e in s_eqs], [mat_neg(e) for e in m_eqs], alpha_hat_inv)
+            [mat_neg(e) for e in s_eqs], [mat_neg(e) for e in m_eqs], alpha_t_hat, u_ser)
         return (dB, dS, dV), _min_val([dB] + dS + dV)
 
     def apply(ans, delta):
@@ -360,23 +351,23 @@ def morphism_residual(motive_a, B, Phi):
     b_pm = [[PolyT.const(x) for x in row] for row in B]
 
     r1 = mat_sub(phi21, [[tmth * x.twist(1) for x in row] for row in phi12])
-    r2 = mat_sub(phi22, mat_sub(pm_twist(phi11, 1), mat_mul(pm_twist(phi12, 1), b_pm)))
-    r3 = mat_sub(mat_sub(phi11, mat_mul(a_pm, pm_twist(phi12, 1))),
-                 mat_sub(pm_twist(phi11, 2), mat_mul(pm_twist(phi12, 2), pm_twist(b_pm, 1))))
+    r2 = mat_sub(phi22, mat_sub(mat_twist(phi11, 1), mat_mul(mat_twist(phi12, 1), b_pm)))
+    r3 = mat_sub(mat_sub(phi11, mat_mul(a_pm, mat_twist(phi12, 1))),
+                 mat_sub(mat_twist(phi11, 2), mat_mul(mat_twist(phi12, 2), mat_twist(b_pm, 1))))
     tmthq = PolyT.t_minus(q_twist(th, 1))
-    lhs4 = mat_sub([[tmth * x for x in row] for row in phi12], mat_mul(a_pm, pm_twist(phi11, 1)))
-    rhs4 = mat_sub([[tmthq * x for x in row] for row in pm_twist(phi12, 2)],
+    lhs4 = mat_sub([[tmth * x for x in row] for row in phi12], mat_mul(a_pm, mat_twist(phi11, 1)))
+    rhs4 = mat_sub([[tmthq * x for x in row] for row in mat_twist(phi12, 2)],
                    mat_mul(phi11, b_pm))
     r4 = mat_sub(lhs4, rhs4)
     # B's tau-action is built at A's ramification and precision
     full = mat_sub(mat_mul(tau_matrix(A, ram, prec), Phi),
-                   mat_mul(pm_twist(Phi, 1), tau_matrix(B, ram, prec)))
+                   mat_mul(mat_twist(Phi, 1), tau_matrix(B, ram, prec)))
     return {
-        "phi21_def": pm_min_valuation(r1),
-        "phi22_def": pm_min_valuation(r2),
-        "block11": pm_min_valuation(r3),
-        "block12": pm_min_valuation(r4),
-        "full": pm_min_valuation(full),
+        "phi21_def": mat_min_valuation(r1),
+        "phi22_def": mat_min_valuation(r2),
+        "block11": mat_min_valuation(r3),
+        "block12": mat_min_valuation(r4),
+        "full": mat_min_valuation(full),
     }
 
 
@@ -416,8 +407,6 @@ def theorem3_check(motive, gamma, k=None, slack=10):
         "lattices_equal": lat_ok,
         "change_of_basis": cob,
         "residuals": sol.residuals,
-        "residuals_ok": sol.residuals_ok(res_tol),
-        "det_phi_unit": sol.det_phi_is_unit(res_tol),
-        "det_consistency": sol.det_consistent(),
+        **sol.flags(res_tol),
         "steps": sol.steps,
     }

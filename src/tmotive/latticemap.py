@@ -9,10 +9,10 @@ The pipeline from a defining matrix A to a Siegel matrix runs:
      same fixed-point step, each update strictly raising the residual
      valuation;
   3. the lattice basis (rows normalized by 1/y0) and its Siegel matrix
-     Z = E2 E1^(-1) where E1, E2 are the two row blocks.  The basis has
-     rank 2n exactly when Z lies in the Siegel half-space: its imaginary
-     part Im Z = (Z - Zbar)/(2 omega), with the bar conjugating the
-     F_{q^2} coefficients, is invertible.  Each Lattice checks this on
+     Z, the solution of Z E1 = E2 on the two row blocks E1, E2.  The
+     basis has rank 2n exactly when Z lies in the Siegel half-space: its
+     imaginary part Im Z = (Z - Zbar)/(2 omega), with the bar conjugating
+     the F_{q^2} coefficients, is invertible.  Each Lattice checks this on
      construction and keeps its Z, so Z is formed once per lattice.
 
 Lattices are compared in the sense that matters here: up to a linear
@@ -27,13 +27,14 @@ from itertools import product
 
 import numpy as np
 
+from . import _kernels
 from .anderson import exp_coeffs, exp_eval, make_tmotive
 from .cinf import CinfElem, c_conj, c_inv, c_root, contract, q_twist, theta_ij
 from .errors import (GammaShapeError, PrecisionError, RecoveryError,
                      SingularMatrixError)
 from .ffield import FFPoly, ffpoly_det, lane_digits, omega_split
-from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec,
-                     mat_min_valuation, mat_mul, mat_sub, split_blocks)
+from .linalg import (eye, mat_add, mat_det, mat_inv, mat_min_prec, mat_min_valuation,
+                     mat_mul, mat_solve, mat_sub, split_blocks, transpose)
 
 _PERIOD_CACHE = {}
 _MAX_FIXED_POINT_STEPS = 256
@@ -113,9 +114,10 @@ class Lattice:
 
     The rows split into two n x n blocks E1 (first n rows) and E2.
     Checked on construction, on the Siegel side: E1 is invertible to
-    precision, and the Siegel matrix Z = E2 E1^(-1) lies in the Siegel
-    half-space, i.e. Im Z = (Z - Zbar) / (2 omega) is invertible, which
-    realizes the rank-2n discreteness condition at working precision.
+    precision, and the Siegel matrix Z, the solution of Z E1 = E2, lies
+    in the Siegel half-space, i.e. Im Z = (Z - Zbar) / (2 omega) is
+    invertible, which realizes the rank-2n discreteness condition at
+    working precision.
     The check leaves ``siegel`` (Z) and ``v_det_im_z`` (the valuation of
     det Im Z) on the lattice.
     """
@@ -148,19 +150,20 @@ class Lattice:
                   = det E1 * det(Zbar - Z) * det E1bar.
 
         det E1bar is the conjugate of det E1, so the rank condition is
-        that E1 is invertible (it is inverted anyway to form Z) and that
-        det(Z - Zbar) = (2 omega)^n det Im Z is nonzero to precision.
+        that E1 is invertible and that det(Z - Zbar) = (2 omega)^n det Im Z
+        is nonzero to precision.  E1 is not inverted: Z comes from one
+        solve, E1^T Z^T = E2^T, whose elimination finds a pivot in every
+        column exactly when E1 is invertible to precision.
         """
         e1, e2 = self.blocks()
         try:
-            e1_inv = mat_inv(e1)
+            Z = transpose(mat_solve(transpose(e1), transpose(e2)))
         except SingularMatrixError:
             raise SingularMatrixError("first block of lattice basis is singular")
         # the bar must exist on every entry, as the omega-split needs it
         for row in self.rows:
             for x in row:
                 c_conj(x)
-        Z = mat_mul(e2, e1_inv)
         det = mat_det(mat_sub(Z, [[c_conj(x) for x in r] for r in Z]))
         if det.is_zero():
             raise SingularMatrixError("lattice basis does not have full rank 2n")
@@ -285,11 +288,12 @@ class GammaElem:
         self.G = [list(r) for r in G]
         self.H = [list(r) for r in H]
         self.n = len(G)
+        if not self.n or any(len(mat) != self.n or any(len(r) != self.n for r in mat)
+                             for mat in (self.G, self.H)):
+            raise GammaShapeError("G and H must be nonempty, square and of equal size")
         self.spec = G[0][0].spec
         deg = 0
         for mat in (self.G, self.H):
-            if len(mat) != self.n or any(len(r) != self.n for r in mat):
-                raise GammaShapeError("G and H must be square of equal size")
             for row in mat:
                 for pol in row:
                     if not pol.in_prime_subfield():
@@ -562,7 +566,7 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
         for terms in entries:
             if not terms:
                 continue
-            exps = np.unique(np.concatenate(
+            exps = _kernels.distinct(np.concatenate(
                 [(s.exps - (offs * s.ram)[:, None]).ravel() for _, s, _ in terms]))[:want]
             # rows (exponent, digit), columns (block, l, m, d, basis element)
             block = np.zeros((len(exps), spec.D, 4, n, n, cap + 1, stride), dtype=np.int64)

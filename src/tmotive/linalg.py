@@ -2,18 +2,22 @@
 
 Matrices are plain nested lists whose entries come from one ring: series
 (CinfElem), polynomials in T over the series (PolyT) or polynomials in
-theta over the ambient field (FFPoly).  Sums, products and block
-splitting use only + and * on entries, so they serve all three rings.  Where a ring names an operation differently (twists,
-valuations, determinants) there is one helper per ring.
+theta over the ambient field (FFPoly).  Sums, products, transposes, block
+splitting and the determinant use only + and * on entries, and twists
+and valuations call the entry's own twist and valuation, so each helper
+serves every ring that has the operation.  FFPoly matrices take their
+determinant from ffield.ffpoly_det instead (fraction-free Bareiss):
+ffield sits below this layer, its ring has exact division, and its
+2n x 2n matrices would cost Laplace expansion (2n)! = 720 terms at n = 3.
 
 Sizes stay tiny (at most a dozen rows), so the implementations favor
 clarity: Gauss-Jordan with valuation pivoting for inversion and solving
-over the series, Laplace expansion for the small PolyT determinants.
+over the series, division-free Laplace expansion for determinants.
 """
 
 from math import inf
 
-from .cinf import CinfElem, PolyT, c_inv, q_twist
+from .cinf import CinfElem, c_inv
 from .errors import SingularMatrixError
 
 
@@ -57,8 +61,12 @@ def mat_mul(a, b):
     return out
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def mat_twist(a, i):
-    return [[q_twist(x, i) for x in r] for r in a]
+    return [[x.twist(i) for x in r] for r in a]
 
 
 def mat_min_valuation(a):
@@ -115,32 +123,28 @@ def mat_inv(a):
 
 
 def mat_det(a):
-    """Determinant via elimination (product of pivots with sign)."""
+    """Laplace expansion along the first row, skipping zero entries.
+
+    Division-free, so it needs only + and * on entries: one body for
+    series and PolyT matrices, whose sizes here stay at most 2n x 2n.
+    """
     n = len(a)
-    m = [list(r) for r in a]
-    sign = 1
-    det = None
-    for col in range(n):
-        piv = _pivot_row(col, col, m)
-        if piv < 0:
-            z = m[col][col]
-            return CinfElem.zero(z.spec, z.ram, z.prec)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        det = pv if det is None else det * pv
-        if col == n - 1:
-            break  # no row left to eliminate, so no inverse needed
-        inv = c_inv(pv)
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if sign < 0:
-        det = -det
-    return det
+    if n == 1:
+        return a[0][0]
+    acc = None
+    for j in range(n):
+        if a[0][j].is_zero():
+            continue
+        minor = [[a[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = a[0][j] * mat_det(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return a[0][0] if acc is None else acc  # a zero first row: a zero entry
+
+
+# the benchmark's tracer times the determinant of Phi under this name
+pm_det = mat_det
 
 
 def split_blocks(m, n):
@@ -150,37 +154,3 @@ def split_blocks(m, n):
     bl = [row[:n] for row in m[n:]]
     br = [row[n:] for row in m[n:]]
     return tl, tr, bl, br
-
-
-# -- PolyT matrices ---------------------------------------------------------
-
-
-def pm_twist(a, i):
-    return [[x.twist(i) for x in r] for r in a]
-
-
-def pm_min_valuation(a):
-    v = inf
-    for r in a:
-        for x in r:
-            v = min(v, x.min_valuation())
-    return v
-
-
-def pm_det(a):
-    """Laplace expansion; fine for the 2x2 and 4x4 blocks used here."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = None
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [[a[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = a[0][j] * pm_det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return PolyT(a[0][0].spec)
-    return acc

@@ -143,6 +143,16 @@ def test_bad_gamma_exit_code(capsys, tmp_path, a_file):
     assert rc == EXIT_SINGULAR
 
 
+@pytest.mark.parametrize("command, flag", [("mobius", "--Z"), ("iso-solve", "--A")])
+@pytest.mark.parametrize("blocks", [[], [[]]])
+def test_empty_gamma_block_exit_code(capsys, tmp_path, a_file, command, flag, blocks):
+    # an empty G or H block is a schema error, not a traceback
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"k": 0, "G": blocks, "H": blocks}))
+    rc = main([command, flag, a_file, "--gamma", str(path), "--prec", str(PREC)])
+    assert rc == EXIT_SCHEMA
+
+
 def test_config_file_roundtrip(capsys, tmp_path):
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text(json.dumps(Config(prec=PREC).to_json()))

@@ -11,7 +11,7 @@ from tmotive.cinf import CinfElem, PolyT, q_twist, t_uniformizer
 from tmotive.anderson import make_tmotive
 from tmotive.latticemap import (GammaElem, eval_poly_matrix, gamma_from_alpha,
                                 mobius, mu13, random_gamma)
-from tmotive import ffield, isomsolver, latticemap
+from tmotive import ffield, isomsolver, latticemap, linalg
 from tmotive.isomsolver import (build_linear_system, morphism_residual, solve_iso,
                                 theorem3_check)
 from tmotive.linalg import mat_inv, mat_mul, mat_solve, zeros
@@ -256,9 +256,11 @@ def test_w1_inverse_application_matches_generic_solve(F, F5):
         g = random_gamma(spec, n, k, rng)
         sysm = build_linear_system(g, k=k)
         ahi = mat_inv(eval_poly_matrix(sysm.anchor, spec, ram, pu * ram))
+        u_ser = [[[CinfElem.const(spec, ram, pu * ram, u) for u in row] for row in Ud]
+                 for Ud in sysm.U_hat]
         s_rhs = [rand_small(spec, rng, n, 1, 4, pu, ram) for _ in range(k)]
         m_rhs = [rand_small(spec, rng, n, 1, 4, pu, ram) for _ in range(k + 1)]
-        B, S, V = sysm.apply_w1_inverse(s_rhs, m_rhs, ahi)
+        B, S, V = sysm.apply_w1_inverse(s_rhs, m_rhs, ahi, u_ser)
         w1 = eval_poly_matrix(assemble(sysm)[0], spec, ram, pu * ram)
         rhs_vec = [[x] for m in s_rhs + m_rhs for x in vec_rowmajor(m)]
         sol = mat_solve(w1, rhs_vec)
@@ -306,6 +308,49 @@ def test_solve_takes_no_determinant_above_gamma_size(F, monkeypatch):
 
 
 # -- the solver -----------------------------------------------------------------
+
+
+def test_solve_inverts_no_series_matrix(F, F5, monkeypatch):
+    # W1^(-1) multiplies by alpha^T evaluated exactly: no series matrix
+    # inverse runs during a solve, and the solve still certifies
+    calls = []
+    real = linalg.mat_inv
+    for module in (linalg, latticemap, isomsolver):
+        monkeypatch.setattr(module, "mat_inv", lambda a: calls.append(a) or real(a),
+                            raising=False)
+    rng = random.Random(13)
+    for spec, ram in ((F, N), (F5, N5)):
+        g = random_gamma(spec, 2, 1, rng)
+        A = rand_small(spec, rng, 2, pu=60, ram=ram)
+        sol = solve_iso(make_tmotive(A), g, k=1)
+        assert sol.residuals_ok(Fraction(50))
+    assert not calls
+
+
+def test_solve_runs_to_working_precision(F):
+    # a degree-2 gamma at n = 2 whose Uhat_1 and Uhat_2 have a zero row.
+    # The Picard loop stops only once the residual vanishes at working
+    # precision, and B is the truncation of a rerun at higher precision.
+    # A Uhat_i B that declared each zero-row entry at the precision of one
+    # entry of B cut the precision of V in every update, so the loop
+    # stopped with block12 at valuation 36 and a wrong term in B below its
+    # declared precision.
+    terms = [[[(28, 43), (36, 42), (45, 77)], [(32, 42), (44, 75)]],
+             [[(26, 43), (27, 42)], [(24, 76)]]]
+
+    def pol(*cs):
+        return FFPoly(F, [F.el(c) for c in cs])
+
+    g = GammaElem([[pol(2), pol(2, 0, 1)], [pol(), pol(1)]],
+                  [[pol(2), pol(2, 0, 1)], [pol(), pol(2)]], k=2)
+
+    def motive(pu):
+        return make_tmotive([[CinfElem.from_terms(F, N, pu * N, [(e, F.el(c)) for e, c in x])
+                              for x in row] for row in terms])
+
+    lo, hi = solve_iso(motive(60), g, k=2), solve_iso(motive(90), g, k=2)
+    assert all(v == inf for v in lo.residuals.values())
+    assert all(y.truncate(x.prec) == x for rl, rh in zip(lo.B, hi.B) for x, y in zip(rl, rh))
 
 
 def test_identity_gamma_solves_exactly(F):

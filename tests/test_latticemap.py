@@ -216,6 +216,26 @@ def test_siegel_check_matches_omega_split_check(p, prec_units):
     assert all(_siegel_verdict(rows) is None for rows in accepted)
 
 
+def test_rank_check_solves_without_inverting(F, monkeypatch):
+    # Z comes from one solve on transposes, never from an inverse of E1,
+    # and it satisfies Z E1 = E2 to precision
+    def no_inverse(a):
+        raise AssertionError("mat_inv called")
+
+    monkeypatch.setattr(latticemap, "mat_inv", no_inverse)
+    rng = random.Random(21)
+    units = [x for x in F.subfield(2) if x]
+    for n in (1, 2):
+        A = [[t_pow(F, rng.randrange(1, 4), prec=60).scale(F.el(rng.choice(units)))
+              for _ in range(n)] for _ in range(n)]
+        lat = lattice_of(make_tmotive(A))
+        e1, e2 = lat.blocks()
+        Z = siegel_of(lat).Z
+        lhs = mat_mul(Z, e1)
+        assert all(x.same_terms(y) for rl, rr in zip(lhs, e2) for x, y in zip(rl, rr))
+        assert mu34(siegel_of(lat)).siegel.Z == Z
+
+
 def test_mu34_siegel_roundtrip_bit_exact(F):
     w = F.omega
     z0 = CinfElem.const(F, N, PU * N, w) + t_pow(F, 2)

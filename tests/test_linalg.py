@@ -5,7 +5,7 @@ import pytest
 from tmotive import linalg
 from tmotive.errors import SingularMatrixError
 from tmotive.ffield import ambient_field
-from tmotive.cinf import CinfElem, PolyT, theta
+from tmotive.cinf import CinfElem, PolyT, c_inv, theta
 from tmotive.linalg import mat_det, mat_inv, mat_mul, mat_solve, pm_det
 
 N, PU = 8, 120
@@ -68,18 +68,67 @@ def test_det_multiplicative(F):
         assert (lhs - rhs).is_zero()
 
 
-def test_det_inverts_only_pivots_with_rows_below(F, monkeypatch):
-    # the last pivot has no row left to eliminate, so an n x n determinant
-    # without a zero pivot inverts n - 1 pivots
-    calls = []
-    real = linalg.c_inv
-    monkeypatch.setattr(linalg, "c_inv", lambda x: calls.append(x) or real(x))
-    rng = random.Random(3)
+def elimination_det(a):
+    """The oracle: elimination with valuation pivoting, the product of the
+    pivots with the sign of the row swaps; one c_inv per pivot with rows
+    below it."""
+    n = len(a)
+    m = [list(r) for r in a]
+    sign = 1
+    det = None
+    for col in range(n):
+        piv = linalg._pivot_row(col, col, m)
+        if piv < 0:
+            z = m[col][col]
+            return CinfElem.zero(z.spec, z.ram, z.prec)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pv = m[col][col]
+        det = pv if det is None else det * pv
+        if col == n - 1:
+            break
+        inv = c_inv(pv)
+        for r in range(col + 1, n):
+            if m[r][col].is_zero():
+                continue
+            f = m[r][col] * inv
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return -det if sign < 0 else det
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_det_matches_elimination_oracle(q, monkeypatch):
+    # Laplace expansion against elimination on random series matrices,
+    # and on matrices whose last row is a series combination of the others
+    # (singular to precision); the expansion inverts nothing
+    spec = ambient_field(q, 1, 4)
+    rng = random.Random(q)
+    cases = []
     for n in (1, 2, 3):
-        m = rand_mat(F, rng, n)
-        calls.clear()
-        assert not mat_det(m).is_zero()
-        assert len(calls) == n - 1
+        cases += [rand_mat(spec, rng, n) for _ in range(4)]
+        if n > 1:
+            m = rand_mat(spec, rng, n)
+            f = rand_mat(spec, rng, 1, vmin=0, vmax=4)[0][0]
+            last = m[0]
+            for r in range(1, n - 1):
+                last = [x + f * y for x, y in zip(last, m[r])]
+            cases.append(m[:n - 1] + [[x * f for x in last]])
+    want = [elimination_det(m) for m in cases]
+    calls = []
+    monkeypatch.setattr(linalg, "c_inv", lambda x: calls.append(x))
+    got = [mat_det(m) for m in cases]
+    assert not calls
+    assert sum(w.is_zero() for w in want) >= 2
+    for g, w in zip(got, want):
+        assert g.is_zero() == w.is_zero()
+        assert g.valuation() == w.valuation()
+        assert g.same_terms(w)
+
+
+def test_one_determinant():
+    # the benchmark's tracer times the determinant of Phi as linalg.pm_det
+    assert linalg.pm_det is linalg.mat_det
 
 
 def test_singular_raises(F):
