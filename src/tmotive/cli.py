@@ -16,9 +16,9 @@ from . import acceptance
 from .anderson import exp_coeffs, make_tmotive
 from .cinf import CinfElem
 from .config import Config
-from .errors import (GammaShapeError, NeighborhoodError, NonContractionError,
-                     PrecisionError, SchemaError, SingularMatrixError,
-                     TMotiveError)
+from .errors import (FieldError, GammaShapeError, NeighborhoodError,
+                     NonContractionError, PrecisionError, SchemaError,
+                     SingularMatrixError, TMotiveError)
 from .latticemap import (GammaElem, SiegelMatrix, carlitz_period, d10_series,
                          lattice_of, mobius, siegel_of)
 from .isomsolver import solve_iso
@@ -63,7 +63,7 @@ def _series_from_json(spec, obj):
             if not isinstance(e, int) or not isinstance(digits, list):
                 raise TypeError("terms must be [exponent, digit-list] pairs")
         return CinfElem.from_json(spec, obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FieldError) as exc:
         raise SchemaError(f"bad series object: {exc}") from None
 
 
@@ -93,7 +93,7 @@ def _gamma_from_json(spec, obj):
         for name in ("G", "H"):
             _require_square(obj[name], f"gamma block {name}")
         return GammaElem.from_json(spec, obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FieldError) as exc:
         raise SchemaError(f"bad gamma object: {exc}") from None
 
 

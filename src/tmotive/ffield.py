@@ -5,7 +5,9 @@ element omega in F_{q^2} - F_q, the roots that c_root takes of leading
 coefficients (the period's among them), and all series coefficients.  Elements are
 stored as integers in [0, p^D) packing the coefficient vector base p
 (low degree first).  A FieldSpec builds discrete log / exp tables and
-the lane word of every element once: multiplication, inversion and
+the lane word of every element once, from the digit vectors of the
+generator's powers (multiplying by it is an F_p-linear map on digit
+vectors, one D x D matrix mod p): multiplication, inversion and
 Frobenius are O(1) table lookups, and addition adds two lane words and
 reads each digit back mod p.  The same tables back the series kernels.
 
@@ -36,17 +38,6 @@ def _ptrim(c):
     return tuple(c[:i])
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, m, p):
     # remainder of a modulo monic-normalized m
     a = list(a)
@@ -62,18 +53,8 @@ def _pmod(a, m, p):
     return _ptrim(a)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _factor(n):
+    """The distinct prime factors of n, ascending ([] for n < 2)."""
     out = []
     d = 2
     while d * d <= n:
@@ -126,6 +107,17 @@ def default_modulus(p, D):
     raise FieldError(f"no irreducible polynomial of degree {D} over F_{p}")
 
 
+def _matpow(M, e, p):
+    """M^e mod p by square and multiply (sums stay below D p^2)."""
+    acc = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ M % p
+        M = M @ M % p
+        e >>= 1
+    return acc
+
+
 def lane_digits(words, D):
     """The D lanes of lane words (FieldSpec.lane_np: digit d in bits
     [b*d, b*d + b), b = 64 // D), on a new last axis."""
@@ -152,7 +144,7 @@ class FieldSpec:
     """
 
     def __init__(self, p, s=1, D=None):
-        if not _is_prime(p):
+        if _factor(p) != [p]:
             raise FieldError(f"p = {p} is not prime")
         if s < 1:
             raise FieldError("s must be positive")
@@ -174,59 +166,52 @@ class FieldSpec:
 
     # -- table construction ------------------------------------------------
 
-    def _mul_packed_slow(self, a, b):
-        pa = _digits(a, self.p, self.D)
-        pb = _digits(b, self.p, self.D)
-        return _pack(_pmod(_pmul(pa, pb, self.p), self.modulus, self.p) + (0,) * self.D, self.p)
-
-    def _find_generator(self):
-        qm1 = self.order - 1
-        primes = _factor(qm1)
+    def _find_generator(self, X):
+        """First packed g >= 2 of full order, with its multiplication
+        matrix g(X); X multiplies a digit vector by x."""
+        p, qm1 = self.p, self.order - 1
+        cofactors = [qm1 // ell for ell in _factor(qm1)]
+        eye = np.eye(self.D, dtype=np.int64)
         for cand in range(2, self.order):
-            ok = True
-            for ell in primes:
-                # packed exponentiation by squaring with the slow multiply
-                e = qm1 // ell
-                acc, base = 1, cand
-                while e:
-                    if e & 1:
-                        acc = self._mul_packed_slow(acc, base)
-                    base = self._mul_packed_slow(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
+            digits = _digits(cand, p, self.D)
+            M = digits[-1] * eye
+            for c in reversed(digits[:-1]):  # Horner's rule
+                M = (M @ X + c * eye) % p
+            if not any(np.array_equal(_matpow(M, e, p), eye) for e in cofactors):
+                return cand, M
         raise FieldError("no multiplicative generator found")
 
     def _build_tables(self):
-        Q = self.order
-        qm1 = Q - 1
-        g = self._find_generator()
-        exp = [0] * qm1
-        log = [-1] * Q
-        x = 1
-        for j in range(qm1):
-            exp[j] = x
-            log[x] = j
-            x = self._mul_packed_slow(x, g)
+        p, D, Q = self.p, self.D, self.order
+        # multiplying by x maps digit vector e_j to e_(j+1), and e_(D-1) to
+        # the digits of x^D = -(m_0 + ... + m_(D-1) x^(D-1))
+        X = np.zeros((D, D), dtype=np.int64)
+        X[1:, :-1] = np.eye(D - 1, dtype=np.int64)
+        X[:, -1] = -np.asarray(self.modulus[:D], dtype=np.int64) % p
+        g, M = self._find_generator(X)
+        # column j of V is the digit vector of g^j; while M = g^n, the
+        # next block g^n, ..., g^(2n - 1) is M times the first n columns
+        V = np.zeros((D, Q - 1), dtype=np.int64)
+        V[0, 0] = 1
+        n = 1
+        while n < Q - 1:
+            V[:, n:2 * n] = M @ V[:, :min(n, Q - 1 - n)] % p
+            M = M @ M % p
+            n *= 2
         self.generator = g
-        self._exp = exp
-        self._log = log
-        self.exp_np = np.asarray(exp, dtype=np.int64)
-        self.log_np = np.asarray(log, dtype=np.int64)
+        self.exp_np = p ** np.arange(D, dtype=np.int64) @ V
+        self.log_np = np.full(Q, -1, dtype=np.int64)
+        self.log_np[self.exp_np] = np.arange(Q - 1, dtype=np.int64)
+        self._exp = self.exp_np.tolist()
+        self._log = self.log_np.tolist()
         # one word per element, so a sum adds each term with one integer add
-        bits = 64 // self.D
-        rest = np.arange(Q, dtype=np.int64)
+        bits = 64 // D
+        self.lane_exp_np = (1 << bits * np.arange(D, dtype=np.int64)) @ V
         self.lane_np = np.zeros(Q, dtype=np.int64)
-        for d in range(self.D):
-            self.lane_np |= (rest % self.p) << (bits * d)
-            rest //= self.p
-        self.lane_exp_np = self.lane_np[self.exp_np]
+        self.lane_np[self.exp_np] = self.lane_exp_np
         # add_packed's scalar form of lane_digits
         self._lane = self.lane_np.tolist()
-        self._lane_places = [(bits * d, self.p ** d) for d in range(self.D)]
+        self._lane_places = [(bits * d, p ** d) for d in range(D)]
         self._lane_mask = (1 << bits) - 1
 
     # -- packed scalar ops ---------------------------------------------------
@@ -296,8 +281,10 @@ class FieldSpec:
             raise FieldError(f"F_(q^{m}) does not embed in the ambient field")
         if m not in self._subfield_cache:
             size = self.q ** m
-            out = [x for x in range(self.order)
-                   if x == 0 or (self._log[x] * (size - 1)) % (self.order - 1) == 0]
+            # x != 0 lies in the subfield iff x^(size - 1) = 1
+            mask = self.log_np * (size - 1) % (self.order - 1) == 0
+            mask[0] = True
+            out = np.flatnonzero(mask).tolist()
             if len(out) != size:
                 raise FieldError("subfield enumeration failed")
             self._subfield_cache[m] = out

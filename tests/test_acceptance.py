@@ -87,6 +87,42 @@ def test_criterion_7_at_q9_recovers_every_change_of_basis():
     assert not missed, missed
 
 
+def test_criterion_7_runs_one_draw_per_larger_n():
+    res = acceptance.criterion_7(Config(prec=60), ns=(3,))
+    assert res.passed and res.details["runs"] == 1, res.details
+
+
+def test_criterion_7_fails_when_it_runs_nothing():
+    res = acceptance.criterion_7(Config(prec=60), ns=())
+    assert not res.passed and res.details["runs"] == 0
+
+
+# criterion 7's failing runs of 15 at n = 1, prec 30, slack 5:
+# (det_literal false, lattices_equal false)
+_C7_FAILS = {5: (6, 0), 7: (12, 0), 11: (12, 1), 13: (14, 0), 25: (14, 4), 27: (15, 7)}
+
+
+def _sweep_cases():
+    for q, (det, lat) in _C7_FAILS.items():
+        for number in sorted(NAMES):
+            marks = ()
+            if number == 7:
+                reason = (f"det_literal is false on {det} of 15 runs: N(det W1) = "
+                          "det(gamma)^n holds only when det(gamma)^(2n) = 1 (ROADMAP item 6)")
+                if lat:
+                    reason += (f"; lattices_equal is false on {lat} while siegel_match "
+                               "holds (ROADMAP item 9)")
+                marks = pytest.mark.xfail(strict=True, reason=reason)
+            yield pytest.param(q, number, marks=marks, id=f"q{q}-c{number}")
+
+
+@pytest.mark.parametrize("q, number", _sweep_cases())
+def test_criterion_at_every_odd_q(q, number):
+    # each q's criteria run in a row, so its field tables are built once
+    res = run_criterion(number, Config.from_q(q, prec=30, slack=5), ns=(1,))
+    assert res.passed, res.details
+
+
 def test_pipeline_at_q9():
     # D = 8, so the series products run on 8-bit lanes.  The literal
     # determinant identity N(det W1) = det(gamma)^n fails for q > 3 whenever

@@ -153,6 +153,26 @@ def test_empty_gamma_block_exit_code(capsys, tmp_path, a_file, command, flag, bl
     assert rc == EXIT_SCHEMA
 
 
+def test_overlong_gamma_coefficient_exit_code(capsys, tmp_path, cfg):
+    # a digit list longer than the ambient degree D = 4 is a schema error
+    spec = cfg.spec
+    w = CinfElem.const(spec, cfg.ram, cfg.prec_num, spec.omega)
+    zpath = tmp_path / "Z.json"
+    zpath.write_text(json.dumps([[w.to_json()]]))
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"k": 0, "G": [[[[1, 0, 0, 0, 0, 0]]]], "H": [[[]]]}))
+    rc = main(["mobius", "--gamma", str(gpath), "--Z", str(zpath), "--prec", str(PREC)])
+    assert rc == EXIT_SCHEMA
+
+
+def test_overlong_series_coefficient_exit_code(capsys, tmp_path, cfg):
+    entry = {"ram": cfg.ram, "prec": cfg.prec_num, "terms": [[24, [1, 0, 0, 0, 0]]]}
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps([[entry]]))
+    rc = main(["lattice-map", "--A", str(path), "--prec", str(PREC)])
+    assert rc == EXIT_SCHEMA
+
+
 def test_config_file_roundtrip(capsys, tmp_path):
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text(json.dumps(Config(prec=PREC).to_json()))

@@ -2,6 +2,7 @@ import operator
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from tmotive.errors import FieldError, GammaShapeError
@@ -240,3 +241,99 @@ def test_serialization_roundtrip(F):
     x = F.from_coeffs([2, 1, 0, 0])
     assert x.to_json() == [2, 1, 0, 0]
     assert F.from_coeffs(x.to_json()) == x
+
+
+# The oracle for the tables: the former builder.  It multiplies packed
+# values as digit tuples (schoolbook product, then reduction by the monic
+# modulus), takes the first g >= 2 that no g^((Q-1)/l) = 1 rules out, and
+# fills exp and log one power of g at a time.
+
+
+def _oracle_field_mul(spec, a, b):
+    p, D, m = spec.p, spec.D, spec.modulus
+    da = [a // p ** i % p for i in range(D)]
+    db = [b // p ** i % p for i in range(D)]
+    prod = [0] * (2 * D - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * D - 2, D - 1, -1):  # x^k = -x^(k-D) (m_0 + ... + m_(D-1) x^(D-1))
+        c, prod[k] = prod[k], 0
+        for i in range(D):
+            prod[k - D + i] = (prod[k - D + i] - c * m[i]) % p
+    return sum(d * p ** i for i, d in enumerate(prod[:D]))
+
+
+def _oracle_has_full_order(spec, g):
+    qm1 = spec.order - 1
+    primes, rest, d = [], qm1, 2
+    while rest > 1:
+        if d * d > rest:
+            d = rest
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    for ell in primes:
+        e, acc, base = qm1 // ell, 1, g
+        while e:
+            if e & 1:
+                acc = _oracle_field_mul(spec, acc, base)
+            base = _oracle_field_mul(spec, base, base)
+            e >>= 1
+        if acc == 1:
+            return False
+    return True
+
+
+def _oracle_tables(spec):
+    Q = spec.order
+    g = next(c for c in range(2, Q) if _oracle_has_full_order(spec, c))
+    exp, log = [0] * (Q - 1), [-1] * Q
+    x = 1
+    for j in range(Q - 1):
+        exp[j], log[x] = x, j
+        x = _oracle_field_mul(spec, x, g)
+    return g, exp, log
+
+
+def _oracle_subfield(spec, log, m):
+    size = spec.q ** m
+    return [x for x in range(spec.order)
+            if x == 0 or log[x] * (size - 1) % (spec.order - 1) == 0]
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_tables_match_oracle(p, s):
+    spec = ambient_field(p, s)
+    g, exp, log = _oracle_tables(spec)
+    assert spec.generator == g
+    assert spec.exp_np.tolist() == exp and spec._exp == exp
+    assert spec.log_np.tolist() == log and spec._log == log
+    bits = 64 // spec.D
+    lanes = [sum((x // p ** d % p) << (bits * d) for d in range(spec.D)) for x in exp]
+    assert spec.lane_exp_np.tolist() == lanes
+    assert spec.lane_np.tolist() == [0] + [w for _, w in sorted(zip(exp, lanes))]
+    for m in (1, 2):
+        assert spec.subfield(m) == _oracle_subfield(spec, log, m)
+    # omega: the first element of F_(q^2) - F_q whose square lies in F_q
+    qm1, q = spec.order - 1, spec.q
+    omega = next(x for x in _oracle_subfield(spec, log, 2)
+                 if x and log[x] * (q - 1) % qm1 and 2 * log[x] * (q - 1) % qm1 == 0)
+    assert spec.omega.idx == omega
+
+
+@pytest.mark.parametrize("p, s", [(5, 2), (3, 3)])
+def test_large_tables_against_oracle_samples(p, s):
+    # the oracle's full tables take seconds here, so sample them instead
+    spec = ambient_field(p, s)
+    Q, g, exp = spec.order, spec.generator, spec._exp
+    assert np.array_equal(np.sort(spec.exp_np), np.arange(1, Q))
+    assert spec.log_np[0] == -1
+    assert np.array_equal(spec.log_np[spec.exp_np], np.arange(Q - 1))
+    rng = random.Random(p * 100 + s)
+    for j in rng.sample(range(Q - 1), 300) + [0, Q - 2]:
+        assert _oracle_field_mul(spec, exp[j], g) == exp[(j + 1) % (Q - 1)]
+    assert _oracle_has_full_order(spec, g)
+    assert not any(_oracle_has_full_order(spec, c) for c in range(2, g))
