@@ -242,8 +242,10 @@ def criterion_7(cfg, ns=(1, 2)):
         plan += [(1, k, 5) for k in (0, 1, 2)]
     if 2 in ns:
         plan += [(2, k, 3) for k in (0, 1)]
-    # one k = 0 draw per larger n, after the others so their draws keep
+    # one k = 0 and then one k = 1 draw per larger n, after the others so
+    # that every earlier draw keeps its value
     plan += [(n, 0, 1) for n in sorted(ns) if n >= 3]
+    plan += [(n, 1, 1) for n in sorted(ns) if n >= 3]
     for n, k, reps in plan:
         for _ in range(reps):
             A = _random_matrix(spec, rng, n, ram, prec, 3, 6)

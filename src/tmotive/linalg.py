@@ -5,20 +5,20 @@ Matrices are plain nested lists whose entries come from one ring: series
 theta over the ambient field (FFPoly).  Sums, products, transposes, block
 splitting and the determinant use only + and * on entries, and twists
 and valuations call the entry's own twist and valuation, so each helper
-serves every ring that has the operation.  FFPoly matrices take their
-determinant from ffield.ffpoly_det instead (fraction-free Bareiss):
-ffield sits below this layer, its ring has exact division, and its
-2n x 2n matrices would cost Laplace expansion (2n)! = 720 terms at n = 3.
+serves every ring that has the operation.  The determinant is ffield.det
+(ffield sits below this layer, and FFPoly matrices need it there), a
+division-free Laplace expansion that forms each minor once.
 
 Sizes stay tiny (at most a dozen rows), so the implementations favor
 clarity: Gauss-Jordan with valuation pivoting for inversion and solving
-over the series, division-free Laplace expansion for determinants.
+over the series.
 """
 
 from math import inf
 
 from .cinf import CinfElem, c_inv
 from .errors import SingularMatrixError
+from .ffield import det as mat_det
 
 
 def zeros(spec, ram, prec, n):
@@ -120,27 +120,6 @@ def mat_inv(a):
     ram = a[0][0].ram
     prec = mat_min_prec(a)
     return mat_solve(a, eye(spec, ram, prec, n))
-
-
-def mat_det(a):
-    """Laplace expansion along the first row, skipping zero entries.
-
-    Division-free, so it needs only + and * on entries: one body for
-    series and PolyT matrices, whose sizes here stay at most 2n x 2n.
-    """
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = None
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [[a[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = a[0][j] * mat_det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return a[0][0] if acc is None else acc  # a zero first row: a zero entry
 
 
 # the benchmark's tracer times the determinant of Phi under this name

@@ -1,14 +1,16 @@
 import operator
 import random
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import numpy as np
 import pytest
 
 from tmotive.errors import FieldError, GammaShapeError
-from tmotive.ffield import (FFPoly, FieldSpec, ambient_field, default_modulus,
+from tmotive.ffield import (FFPoly, FieldSpec, ambient_field, default_modulus, det,
                             ffpoly_det, ffpoly_unit_inv, find_root_in_field,
                             omega_split)
+from tmotive.latticemap import random_gamma
 
 
 @pytest.fixture(scope="module")
@@ -148,19 +150,20 @@ def test_omega_split_roundtrip(F):
         omega_split(F.el(F.generator))  # generator is outside F_9
 
 
-def test_ffpoly_ring_and_division(F):
+def test_ffpoly_ring_laws(F):
     rng = random.Random(4)
 
     def rnd(deg):
         return FFPoly(F, [F.el(rng.randrange(F.order)) for _ in range(deg + 1)])
 
     for _ in range(40):
-        a, b = rnd(rng.randrange(4)), rnd(rng.randrange(3))
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.degree() < b.degree() or r.is_zero()
+        a, b, c = rnd(rng.randrange(4)), rnd(rng.randrange(3)), rnd(rng.randrange(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * b == b * a
+        assert (a - a).is_zero() and a + (-a) == a - a
+        if not (a.is_zero() or b.is_zero()):
+            assert (a * b).degree() == a.degree() + b.degree()
     th = FFPoly.theta(F)
     # Horner evaluation at theta = 1
     acc = F.zero
@@ -223,6 +226,130 @@ def test_ffpoly_det_matches_cofactor(F):
         m = [[rnd() for _ in range(2)] for _ in range(2)]
         det = ffpoly_det(m)
         assert det == m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+# The oracle for det on FFPoly matrices: fraction-free Bareiss
+# elimination, whose interior divisions are exact, with its own long
+# division of polynomials.
+
+
+def _oracle_exact_div(a, b):
+    rem = list(a.coeffs)
+    lead_inv = b.coeffs[-1].inv()
+    quot = [a.spec.zero] * max(len(rem) - len(b.coeffs) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b.coeffs) - 1] * lead_inv
+        quot[k] = c
+        for j, y in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - c * y
+    assert all(x.is_zero() for x in rem), "inexact polynomial division"
+    return FFPoly(a.spec, quot)
+
+
+def _bareiss_det(rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    spec = m[0][0].spec
+    sign = 1
+    prev = FFPoly.const(spec.one)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return FFPoly(spec)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = _oracle_exact_div(num, prev)
+        prev = m[k][k]
+    return -m[n - 1][n - 1] if sign < 0 else m[n - 1][n - 1]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_det_matches_bareiss_oracle(q):
+    spec = ambient_field(q, 1, 4)
+    rng = random.Random(20 + q)
+
+    def rnd():
+        # degree at most 2, zero about a quarter of the time
+        if rng.random() < 0.25:
+            return FFPoly(spec)
+        return FFPoly(spec, [spec.el(rng.randrange(spec.order))
+                             for _ in range(rng.randrange(1, 4))])
+
+    cases = []
+    for n in range(1, 7):
+        for _ in range(3):
+            cases.append([[rnd() for _ in range(n)] for _ in range(n)])
+        m = [[rnd() for _ in range(n)] for _ in range(n)]
+        if n == 1:
+            cases.append([[FFPoly(spec)]])
+            continue
+        # singular: the last row a polynomial combination of the others
+        last = [FFPoly(spec)] * n
+        for r in range(n - 1):
+            f = rnd()
+            last = [x + f * y for x, y in zip(last, m[r])]
+        cases.append(m[:n - 1] + [last])
+    singular = 0
+    for m in cases:
+        want = _bareiss_det(m)
+        assert ffpoly_det(m) == want
+        singular += want.is_zero()
+    assert singular >= 6
+    # the assembled block group elements, whose determinants are constants
+    for n in (1, 2, 3):
+        for k in (0, 1, 2):
+            g = random_gamma(spec, n, k, rng)
+            a = g.assembled()
+            assert ffpoly_det(a) == _bareiss_det(a) == g.det
+            assert g.det.is_constant() and not g.det.is_zero()
+
+
+class _Counted:
+    """An integer that counts every product taken in its ring."""
+
+    __slots__ = ("v", "log")
+
+    def __init__(self, v, log):
+        self.v, self.log = v, log
+
+    def __add__(self, other):
+        return _Counted(self.v + other.v, self.log)
+
+    def __sub__(self, other):
+        return _Counted(self.v - other.v, self.log)
+
+    def __neg__(self):
+        return _Counted(-self.v, self.log)
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return _Counted(self.v * other.v, self.log)
+
+    def is_zero(self):
+        return self.v == 0
+
+
+def test_det_forms_each_minor_once():
+    # a dense 6 x 6 takes n 2^(n-1) - n = 186 entry products, within the
+    # n 2^(n-1) = 192 bound; the naive expansion takes about 1,236
+    rng = random.Random(7)
+    n = 6
+    vals = [[rng.randrange(1, 10) for _ in range(n)] for _ in range(n)]
+    log = []
+    got = det([[_Counted(v, log) for v in r] for r in vals])
+    assert len(log) <= 192
+    want = sum((-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+               * prod(vals[r][c] for r, c in enumerate(p))
+               for p in permutations(range(n)))
+    assert got.v == want
+    with pytest.raises(ValueError):
+        det([])
 
 
 def test_ffpoly_unit_inverse(F):

@@ -229,8 +229,8 @@ def test_identity_gamma_system_is_identity_on_b(F):
 
 
 def test_det_w1_constant_and_norm_relation(F, F5):
-    # the closed form (-1)^(kn) det(anchor)^n against Bareiss elimination
-    # of the assembled W1, exactly, beyond q = 3 where F_3^* = {+-1}
+    # the closed form (-1)^(kn) det(anchor)^n against the determinant of
+    # the assembled W1, exactly, beyond q = 3 where F_3^* = {+-1}
     # would hide a wrong sign or power
     rng = random.Random(4)
     for spec in (F, F5):

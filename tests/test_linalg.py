@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmotive import linalg
+from tmotive import ffield, linalg
 from tmotive.errors import SingularMatrixError
 from tmotive.ffield import ambient_field
 from tmotive.cinf import CinfElem, PolyT, c_inv, theta
@@ -126,9 +126,76 @@ def test_det_matches_elimination_oracle(q, monkeypatch):
         assert g.same_terms(w)
 
 
+def naive_det(a):
+    """The oracle: Laplace expansion along the first row, skipping zero
+    entries, recomputing every minor; a zero first row gives its zero
+    first entry."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    acc = None
+    for j in range(n):
+        if a[0][j].is_zero():
+            continue
+        minor = [[a[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = a[0][j] * naive_det(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return a[0][0] if acc is None else acc
+
+
+def _sparse_series_mat(spec, rng, n):
+    # entries of mixed declared precision, about a third of them zero
+    out = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            prec = rng.randrange(20, PU) * N
+            if rng.random() < 0.35:
+                row.append(CinfElem.zero(spec, N, prec))
+                continue
+            terms = {rng.randrange(-2 * N, 8 * N): spec.el(rng.randrange(1, spec.order))
+                     for _ in range(rng.randrange(1, 4))}
+            row.append(CinfElem.from_terms(spec, N, prec, terms.items()))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_det_matches_naive_expansion(q):
+    # the memoized expansion builds the naive one's expression tree, so
+    # values and declared precisions agree bit for bit, for series and for
+    # PolyT entries, with zero entries and zero first rows
+    spec = ambient_field(q, 1, 4)
+    rng = random.Random(10 + q)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            m = _sparse_series_mat(spec, rng, n)
+            cases.append(m)
+            if n > 1:
+                zero_row = [CinfElem.zero(spec, N, x.prec) for x in m[0]]
+                cases.append([zero_row] + m[1:])
+                cases.append(m[:1] + [zero_row] + m[2:])
+    for got, want in ((mat_det(m), naive_det(m)) for m in cases):
+        assert got == want and got.prec == want.prec
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            cs = [_sparse_series_mat(spec, rng, n) for _ in range(2)]
+            m = [[PolyT(spec, (a, b)) for a, b in zip(r0, r1)]
+                 for r0, r1 in zip(*cs)]
+            if n > 1 and rng.random() < 0.5:
+                m[0] = [PolyT(spec) for _ in range(n)]
+            got, want = mat_det(m), naive_det(m)
+            assert got == want
+            assert [c.prec for c in got.coeffs] == [c.prec for c in want.coeffs]
+
+
 def test_one_determinant():
-    # the benchmark's tracer times the determinant of Phi as linalg.pm_det
-    assert linalg.pm_det is linalg.mat_det
+    # one body for every ring; the benchmark's tracer times it as
+    # linalg.pm_det (det Phi) and as ffield.ffpoly_det
+    assert linalg.mat_det is linalg.pm_det is ffield.ffpoly_det
 
 
 def test_singular_raises(F):
