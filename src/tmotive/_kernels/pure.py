@@ -1,4 +1,4 @@
-"""Pure-numpy series kernels: sparse product, merge-add and term sums.
+"""Pure-numpy series kernels: sums of sparse products, merge-add and term sums.
 
 A series is a pair of equal-length int64 arrays (exps, coeffs): exponent
 numerators sorted ascending, packed nonzero field coefficients.  Every
@@ -7,17 +7,24 @@ digits in lanes of 64 // D bits) as integers, reduces each lane mod p
 whenever the words added since the last reduction could overflow one,
 and repacks the lanes base p at the end; all of it is exact int64.
 
-A product has one path for every field and every window.  Its term pairs
-are formed a chunk of rows of the shorter operand at a time, about
-_PAIRS pairs per chunk: an outer sum of exponents gives each pair's
-slot, an outer sum of logs its lane word (FieldSpec.lane_exp_np), and
-one np.add.at adds the chunk's words below cap into their slots.  A slot
-is the exponent's offset from the lowest product exponent, or, in
-windows wider than _DENSE_WINDOW (high-valuation tails are very sparse),
-its rank among the exponents that occur below cap.  The merge-add, like
-CinfElem's constructor, sums equal exponents with sum_terms.  Both
-kernels take the same twelve arguments, so a caller or tracer handles
-them alike; the tests check them against a schoolbook product and merge.
+Every product runs through one accumulation loop, series_dot, which
+sums any number of products and addends below cap in one window:
+series_mul is its one-pair call.  Each product's term pairs are formed
+a chunk of rows of its shorter operand at a time, about _PAIRS pairs
+per chunk, each chunk only over the columns its first row lands below
+cap in: an outer sum of exponents gives each pair's slot, an outer sum
+of logs its lane word (FieldSpec.lane_exp_np), and one np.add.at adds
+the chunk's words below cap into their slots.  An addend adds its lane
+words the same way, as one row.  The rows added since the last lane
+reduction are counted across all the pairs and addends of a call, and
+the lanes are repacked once, at the end.  A slot is the exponent's
+offset from the lowest exponent of the call, or, in windows wider than
+_DENSE_WINDOW (high-valuation tails are very sparse), its rank among
+the exponents that occur below cap.  The merge-add, like CinfElem's
+constructor, sums equal exponents with sum_terms.  series_mul and the
+merge-add take the same twelve arguments, so a caller or tracer handles
+them alike; the tests check every kernel against a schoolbook product
+and merge.
 """
 
 import numpy as np
@@ -30,14 +37,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # exponent that occurs
 _DENSE_WINDOW = 1 << 17
 
-# term pairs formed at once: a chunk is _PAIRS // len(e2) rows (at least
-# one, at most a lane block), so its temporaries stay near a few times
-# 8 * _PAIRS bytes
+# term pairs formed at once: a chunk is _PAIRS // cols rows, cols the
+# columns its first row keeps (at least one row, at most a lane block),
+# so its temporaries stay near a few times 8 * _PAIRS bytes
 _PAIRS = 1 << 15
 
 # exponent numerators lie strictly inside +-_EXP_BOUND, so each operand
-# spans less than 2 * _EXP_BOUND and a position, the sum of two spans,
-# fits int64
+# spans less than 2 * _EXP_BOUND and a position's offset from the lowest
+# exponent of a call, at most the sum of two spans, fits int64
 _EXP_BOUND = 1 << 61
 
 
@@ -100,44 +107,71 @@ def series_add_merge(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap)
 
 
 def series_mul(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
-    """Full sparse product truncated at cap."""
-    if len(e1) == 0 or len(e2) == 0:
-        return _EMPTY.copy(), _EMPTY.copy()
-    if len(e1) > len(e2):
-        e1, c1, e2, c2 = e2, c2, e1, c1
-    for e in (e1, e2):
+    """Full sparse product truncated at cap: the one-pair series_dot."""
+    return series_dot(((e1, c1, e2, c2),), (), logt, lane, lane_exp, qm1, p, D, cap)
+
+
+def _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block):
+    """(rows, offsets below window, their lane words) for each addend and
+    each chunk of rows of each pair (e1 the shorter operand), whose offsets
+    from base are sums of exponents and whose words are lane_exp at sums
+    of logs.  A chunk takes only the columns its first row lands below
+    window in: e1 is sorted, so its later rows need no others."""
+    for e, c in adds:
+        d = e - base
+        m = d < window
+        yield 1, d[m], lane[c[m]]
+    for e1, c1, e2, c2 in pairs:
+        d2, l1, l2 = e2 - base, logt[c1], logt[c2]
+        i = 0
+        while i < len(e1):
+            lim = window - int(e1[i])
+            cols = len(d2) if lim > int(d2[-1]) else int(np.searchsorted(d2, lim))
+            if cols == 0:
+                break  # no later row lands below window either
+            rows = max(1, min(block, _PAIRS // cols))
+            r = slice(i, i + rows)
+            pos = e1[r, None] + d2[:cols]
+            m = pos < window
+            pos, words = pos[m], lane_exp[(l1[r, None] + l2[:cols])[m] % qm1]
+            yield len(e1[r]), pos, words
+            del pos, words  # freed before the next chunk forms its own
+            i += rows
+
+
+def series_dot(pairs, adds, logt, lane, lane_exp, qm1, p, D, cap):
+    """Sum of the products (e1, c1) * (e2, c2) over pairs and of the series
+    (e, c) in adds, truncated at cap: every term goes into one accumulator,
+    whose lanes are repacked once."""
+    pairs = [(e1, c1, e2, c2) if len(e1) <= len(e2) else (e2, c2, e1, c1)
+             for e1, c1, e2, c2 in pairs if len(e1) and len(e2)]
+    adds = [(e, c) for e, c in adds if len(e)]
+    for e in [x for e1, _, e2, _ in pairs for x in (e1, e2)] + [e for e, _ in adds]:
         assert -_EXP_BOUND < e[0] and e[-1] < _EXP_BOUND, "exponent outside int64 headroom"
-    base = int(e1[0]) + int(e2[0])
+    lows = [int(e1[0]) + int(e2[0]) for e1, _, e2, _ in pairs] + [int(e[0]) for e, _ in adds]
+    base = min(lows, default=cap)
     window = int(cap) - base
     if window <= 0:
         return _EMPTY.copy(), _EMPTY.copy()
-    d2 = e2 - base
+    # a row's slots are distinct, and so are an addend's, so each adds one
+    # word to a lane; the rows since the last reduction count across the call
+    block = _lane_block(p, D)
+    chunks = _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block)
     occ = None  # a wide window's offsets that occur; a slot is a rank in it
     if window > _DENSE_WINDOW:
-        offsets = (e1[:, None] + d2).ravel()
-        occ = distinct(offsets[offsets < window])
-    # a row's slots are distinct, so a row adds one word to a lane
-    block = _lane_block(p, D)
-    rows = max(1, min(block, _PAIRS // len(e2)))
-    l1 = logt[c1]
-    l2 = logt[c2]
+        chunks = list(chunks)
+        occ = distinct(np.concatenate([pos for _, pos, _ in chunks]))
     acc = np.zeros(window if occ is None else len(occ), dtype=np.int64)
     since = 0  # rows added since the last lane reduction
-    for i in range(0, len(e1), rows):
-        if int(e1[i]) - int(e1[0]) >= window:
-            break  # e1 is sorted: no later row lands below cap
-        r = slice(i, i + rows)
-        k = min(rows, len(e1) - i)
+    for k, pos, words in chunks:
         if since + k > block:
             nz = np.flatnonzero(acc)
             acc[nz] = _reduce_lanes(acc[nz], p, D, 1 << 64 // D)
             since = 0
         since += k
         assert since <= block, "a digit lane could overflow"
-        pos = e1[r, None] + d2
-        m = pos < window
-        slots = pos[m] if occ is None else np.searchsorted(occ, pos[m])
-        np.add.at(acc, slots, lane_exp[(l1[r, None] + l2)[m] % qm1])
+        np.add.at(acc, pos if occ is None else np.searchsorted(occ, pos), words)
+        del pos, words  # freed before the next chunk forms its own
     nz = np.flatnonzero(acc)
     coeffs = _reduce_lanes(acc[nz], p, D, p)
     keep = coeffs != 0

@@ -20,7 +20,7 @@ against that closed form computed along an independent path.
 from fractions import Fraction
 from math import inf
 
-from .cinf import CinfElem, PolyT, inv_theta_i0, q_twist, theta
+from .cinf import CinfElem, PolyT, dot, inv_theta_i0, q_twist, theta
 from .errors import NeighborhoodError, PrecisionError
 from .linalg import (eye, mat_add, mat_min_prec, mat_min_valuation, mat_mul,
                      mat_twist, zeros)
@@ -168,31 +168,33 @@ def _mat_vec(m, v):
 def exp_eval(coeffs, z):
     """Evaluate the exponential at a vector z with a certified tail.
 
-    Raises PrecisionError when z falls below the valuation floor the
-    coefficient list was certified for and the computed tail terms do not
-    clear the target either.
+    Component j is one cinf.dot over every pair (C_i[j][l], z_l^(i)), the
+    chained sum of the terms C_i z^(i) bit for bit.  Raises PrecisionError
+    when z falls below the valuation floor the coefficient list was
+    certified for and the computed tail terms do not clear the target
+    either; only then are the term vectors C_i z^(i) formed, each entry a
+    dot over l, for their exact valuations.
     """
     motive = coeffs.motive
     n = motive.n
     if len(z) != n:
         raise ValueError(f"vector length {len(z)} != dimension {n}")
+    zt = [_vec_twist(z, i) for i in range(len(coeffs.C))]
+    out = [dot([(Ci[j][l], zi[l]) for Ci, zi in zip(coeffs.C, zt) for l in range(n)])
+           for j in range(n)]
     zv = min(x.valuation() for x in z)
-    acc = None
-    tail = []
-    for i, Ci in enumerate(coeffs.C):
-        term = _mat_vec(Ci, _vec_twist(z, i))
-        acc = term if acc is None else [a + t for a, t in zip(acc, term)]
-        tail.append(min((x.valuation() for x in term), default=inf))
     if zv < coeffs.floor:
         # the construction-time certificate does not cover this point;
         # require the computed tail itself to clear the target
-        finite = [v for v in tail[1:] if v != inf]
+        tail = [min(dot([(Ci[j][l], zi[l]) for l in range(n)]).valuation() for j in range(n))
+                for Ci, zi in zip(coeffs.C[1:], zt[1:])]
+        finite = [v for v in tail if v != inf]
         ok = len(finite) >= 2 and all(v >= coeffs.target_units for v in finite[-2:])
         if not ok:
             raise PrecisionError(
                 f"evaluation point valuation {zv} below certified floor "
                 f"{coeffs.floor}; tail term valuation {finite[-1] if finite else inf}")
-    return acc
+    return out
 
 
 def exp_eval_scalar(coeffs, z):

@@ -12,6 +12,9 @@ precision; the only lossy step is truncation.  Precision propagation:
 * add / sub:   P = min(P_x, P_y)  (at the common ramification)
 * mul:         P = min(P_x + v_N(y), P_y + v_N(x)) with v_N the minimal
                stored exponent (P itself for a term-free element)
+* dot:         sum of products a_k b_k plus addends x_m, in one kernel
+               call: P = the least of each product's mul precision and
+               each addend's P, that of the chained sum
 * inversion:   P = P_x - 2 v_N(x)   (relative precision preserved)
 * twist by i:  P multiplies by q^i
 * m-th root:   relative precision preserved
@@ -24,7 +27,7 @@ takes its ring arithmetic from ffield.Poly.
 """
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 import numpy as np
 
@@ -172,7 +175,7 @@ class CinfElem:
         if isinstance(other, FFElem):
             return self.scale(other)
         a, b = self._common(other)
-        cap = min(a.prec + b.min_exp(), b.prec + a.min_exp())
+        cap = _product_prec(a, b)
         s = a.spec
         e, c = _kernels.series_mul(
             a.exps, a.coeffs, b.exps, b.coeffs,
@@ -256,6 +259,41 @@ class CinfElem:
         more = "+..." if len(self.exps) > 4 else ""
         body = " + ".join(parts) if parts else "0"
         return f"<{body}{more} mod t^({self.prec}/{self.ram})>"
+
+
+def _product_prec(a, b):
+    """The declared precision of a * b at a common ramification."""
+    return min(a.prec + b.min_exp(), b.prec + a.min_exp())
+
+
+def dot(pairs, adds=()):
+    """sum(a * b for a, b in pairs) + sum(adds), in one kernel call.
+
+    Every operand is lifted to the lcm ramification, and the kernel runs
+    up to the least precision a term of the chained sum declares (each
+    product's as in __mul__, each addend's own), so it forms no product
+    term at or past it.  The bits and the precision are those of the
+    chained a * b + c * d + ... + x: field addition is associative and
+    commutative, a sum keeps the least precision of its terms, and a
+    product's terms below a cap do not depend on operand terms that can
+    only land above it.  (Near _PREC_CAP, mixed ramifications are the one
+    exception: the chain clamps each product's operands at that pair's own
+    lcm, this at the lcm of all.)
+    """
+    pairs, adds = list(pairs), list(adds)
+    ops = [x for ab in pairs for x in ab] + adds
+    s = ops[0].spec
+    if any(x.spec is not s for x in ops):
+        raise ValueError("operands over different ambient fields")
+    ram = lcm(*(x.ram for x in ops))
+    pairs = [(a.lift_ram(ram), b.lift_ram(ram)) for a, b in pairs]
+    adds = [x.lift_ram(ram) for x in adds]
+    cap = min([_product_prec(a, b) for a, b in pairs] + [x.prec for x in adds])
+    e, c = _kernels.series_dot(
+        [(a.exps, a.coeffs, b.exps, b.coeffs) for a, b in pairs],
+        [(x.exps, x.coeffs) for x in adds],
+        s.log_np, s.lane_np, s.lane_exp_np, s.order - 1, s.p, s.D, cap)
+    return CinfElem(s, ram, cap, e, c, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ Matrices are plain nested lists whose entries come from one ring: series
 theta over the ambient field (FFPoly).  Sums, products, transposes, block
 splitting and the determinant use only + and * on entries, and twists
 and valuations call the entry's own twist and valuation, so each helper
-serves every ring that has the operation.  The determinant is ffield.det
-(ffield sits below this layer, and FFPoly matrices need it there), a
-division-free Laplace expansion that forms each minor once.
+serves every ring that has the operation.  The one exception is the
+product of two series matrices: each of its entries is a sum of
+products, formed by cinf.dot in one kernel call with the chained sum's
+bits.  The determinant is ffield.det (ffield sits below this layer, and
+FFPoly matrices need it there), a division-free Laplace expansion that
+forms each minor once.
 
 Sizes stay tiny (at most a dozen rows), so the implementations favor
 clarity: Gauss-Jordan with valuation pivoting for inversion and solving
@@ -16,7 +19,7 @@ over the series.
 
 from math import inf
 
-from .cinf import CinfElem, c_inv
+from .cinf import CinfElem, c_inv, dot
 from .errors import SingularMatrixError
 from .ffield import det as mat_det
 
@@ -46,9 +49,13 @@ def mat_neg(a):
 
 
 def mat_mul(a, b):
-    """The matrix product; it needs only + and * on entries, so it serves
-    CinfElem, PolyT and FFPoly matrices alike."""
+    """The matrix product.  On series entries each output entry is one
+    cinf.dot over its row and column, the chained sum's bits in one kernel
+    call; PolyT and FFPoly entries take the loop of + and *."""
     rows, inner, cols = len(a), len(b), len(b[0])
+    if isinstance(a[0][0], CinfElem) and isinstance(b[0][0], CinfElem):
+        return [[dot([(a[i][k], b[k][j]) for k in range(inner)]) for j in range(cols)]
+                for i in range(rows)]
     out = []
     for i in range(rows):
         row = []

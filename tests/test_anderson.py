@@ -7,7 +7,7 @@ import pytest
 from tmotive import cinf
 from tmotive.errors import NeighborhoodError, PrecisionError
 from tmotive.ffield import ambient_field
-from tmotive.cinf import CinfElem, PolyT, c_inv, theta_ij, t_uniformizer
+from tmotive.cinf import CinfElem, PolyT, c_inv, q_twist, theta_ij, t_uniformizer
 from tmotive.anderson import (exp_coeffs, exp_eval, exp_eval_scalar,
                               functional_residual, make_tmotive, tau_matrix)
 
@@ -179,3 +179,83 @@ def test_eval_below_certified_floor_raises(F, base):
     far = c_inv(t_uniformizer(F, N, PU)) ** 5  # valuation -5
     with pytest.raises(PrecisionError):
         exp_eval_scalar(co, far)
+
+
+def _chained_eval(co, z):
+    """The per-term oracle: each term vector C_i z^(i) by the chained
+    loop a * b + c * d over l, the terms summed one at a time; returns the
+    sum and the exact valuation of each term vector."""
+    acc, tail = None, []
+    for i, Ci in enumerate(co.C):
+        zi = [q_twist(x, i) for x in z]
+        term = []
+        for row in Ci:
+            s = row[0] * zi[0]
+            for c, x in zip(row[1:], zi[1:]):
+                s = s + c * x
+            term.append(s)
+        acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+        tail.append(min(x.valuation() for x in term))
+    return acc, tail
+
+
+def _n2_motive(F):
+    t = t_uniformizer(F, N, PU)
+    return make_tmotive([[t ** 2, t ** 3], [t, t ** 2]])
+
+
+def test_exp_eval_is_one_kernel_call_per_component(F, monkeypatch):
+    # in the certified branch at n = 2 the whole sum of C_i z^(i) is one
+    # fused kernel call per component, run up to exactly the precision
+    # that component declares; no product or sum goes through its own call
+    co = exp_coeffs(_n2_motive(F))
+    t = t_uniformizer(F, N, PU)
+    z = [t + t ** 3, t ** 2]
+    assert min(x.valuation() for x in z) >= co.floor
+    calls = {"series_dot": [], "series_mul": [], "series_add_merge": []}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(cinf._kernels, name), seen=seen):
+            seen.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(cinf._kernels, name, spy)
+    got = exp_eval(co, z)
+    monkeypatch.undo()
+    assert calls["series_mul"] == calls["series_add_merge"] == []
+    assert calls["series_dot"] == [x.prec for x in got] and len(got) == 2
+    assert got == _chained_eval(co, z)[0]
+
+
+def test_eval_below_certified_floor_reads_exact_tail(F):
+    # coefficients certified for points of valuation >= 1, evaluated below
+    # that floor: the tail certificate reads the exact valuation of each
+    # term vector, and where it clears the target the result is the
+    # per-term chained sum
+    co = exp_coeffs(_n2_motive(F), z_floor=Fraction(1))
+    t = t_uniformizer(F, N, PU)
+    cleared = []
+    for v in (-3, -2, -1, Fraction(-1, 2)):
+        e = int(v * N)
+        z = [CinfElem.monomial(F, N, PU * N, e, F.one),
+             CinfElem.monomial(F, N, PU * N, e + N, F.scalar(2)) + t]
+        assert min(x.valuation() for x in z) < co.floor
+        want, tail = _chained_eval(co, z)
+        finite = [x for x in tail[1:] if x != inf]
+        ok = len(finite) >= 2 and all(x >= co.target_units for x in finite[-2:])
+        cleared.append(ok)
+        if ok:
+            assert exp_eval(co, z) == want
+        else:
+            with pytest.raises(PrecisionError):
+                exp_eval(co, z)
+    assert cleared == [False, True, True, True]
+    # the odd term vectors of this motive vanish on z = (x, x): their exact
+    # valuations are +inf, so the certificate skips them and fails, where
+    # the estimate min_l v(C_i[j][l]) + v(z_l^(i)) would clear the target
+    a = t ** 2
+    co = exp_coeffs(make_tmotive([[a, -a], [-a, a]]), z_floor=Fraction(1))
+    x = CinfElem.monomial(F, N, PU * N, -N, F.one) + t
+    _, tail = _chained_eval(co, [x, x])
+    assert tail[1::2] == [inf] * len(tail[1::2])
+    assert [v for v in tail if v != inf][-2] < co.target_units
+    with pytest.raises(PrecisionError):
+        exp_eval(co, [x, x])

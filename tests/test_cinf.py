@@ -405,6 +405,61 @@ def test_precision_soundness_pipeline(F):
     assert hi.truncate(lo.prec) == lo
 
 
+def _chained(pairs, adds=()):
+    """a * b + c * d + ... + x, one operation at a time."""
+    terms = [a * b for a, b in pairs] + list(adds)
+    acc = terms[0]
+    for x in terms[1:]:
+        acc = acc + x
+    return acc
+
+
+def _mixed_series(G, rng, ram):
+    # declared precision and valuation vary per operand; some are term-free
+    prec = rng.randrange(10, 50) * ram
+    if rng.random() < 0.2:
+        return CinfElem.zero(G, ram, prec)
+    terms = {rng.randrange(-3 * ram, prec): G.el(rng.randrange(1, G.order))
+             for _ in range(rng.randrange(1, 12))}
+    return CinfElem.from_terms(G, ram, prec, terms.items())
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_dot_is_the_chained_sum(p, s, D):
+    # the same bits and the same declared precision as the chained sum, at
+    # q = 3, 5 and 9, at one ramification and at mixed ones
+    G = ambient_field(p, s, D)
+    rng = random.Random(40 + G.q)
+    for trial in range(40):
+        rams = (8,) if trial % 2 else (8, 4, 6, 3)
+        pairs = [(_mixed_series(G, rng, rng.choice(rams)), _mixed_series(G, rng, rng.choice(rams)))
+                 for _ in range(rng.randrange(1, 6))]
+        adds = [_mixed_series(G, rng, rng.choice(rams)) for _ in range(rng.randrange(0, 3))]
+        got, want = cinf.dot(pairs, adds), _chained(pairs, adds)
+        assert got == want and (got.ram, got.prec) == (want.ram, want.prec)
+        a, b = pairs[0]
+        one = cinf.dot([(a, b)])
+        assert one == a * b and (one.ram, one.prec) == ((a * b).ram, (a * b).prec)
+        if adds:
+            assert cinf.dot([], adds) == _chained([], adds)
+
+
+def test_dot_cuts_a_product_to_nothing(F):
+    # a product whose terms all lie past the least precision of the sum
+    # adds nothing, yet its own precision counts, as in the chained sum
+    hi = CinfElem.from_terms(F, N, 100 * N, [(40 * N, F.one), (41 * N, F.scalar(2))])
+    lo = CinfElem.from_terms(F, N, 20 * N, [(N, F.one), (3 * N, F.one)])
+    one = CinfElem.const(F, N, 100 * N, F.one)
+    zero = CinfElem.zero(F, N, 30 * N)
+    for pairs, adds in (([(lo, one), (hi, hi)], []), ([(hi, hi)], [lo]),
+                        ([(zero, hi), (hi, lo)], []), ([(zero, zero)], [hi])):
+        got = cinf.dot(pairs, adds)
+        assert got == _chained(pairs, adds)
+    assert cinf.dot([(lo, one), (hi, hi)]) == lo
+    with pytest.raises(ValueError):
+        cinf.dot([(lo, CinfElem.const(ambient_field(5, 1, 4), N, 10 * N, F.one))])
+
+
 def test_equality_and_ram_lift(F):
     t8 = t_uniformizer(F, N, PU)
     t16 = t8.lift_ram(16)

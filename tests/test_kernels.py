@@ -236,3 +236,113 @@ def test_kernel_asserts_its_bounds(F):
     with pytest.raises(AssertionError, match="lane"):
         pure.series_mul(np.zeros(1, dtype=np.int64), one, np.zeros(1, dtype=np.int64), one,
                         F.log_np, F.exp_np, F.lane_np, F.lane_exp_np, F.order - 1, 257, 8, 10)
+    # the fused kernel checks every operand of every pair, and every addend
+    zero = np.zeros(1, dtype=np.int64)
+    tables = (F.log_np, F.lane_np, F.lane_exp_np, F.order - 1)
+    for far in (-(1 << 61), 1 << 61):
+        e = np.asarray([far], dtype=np.int64)
+        for pairs, adds in (([(zero, one, zero, one), (zero, one, e, one)], []),
+                            ([(zero, one, zero, one)], [(zero, one), (e, one)])):
+            with pytest.raises(AssertionError, match="headroom"):
+                pure.series_dot(pairs, adds, *tables, F.p, F.D, 1 << 62)
+    with pytest.raises(AssertionError, match="lane"):
+        pure.series_dot([], [(zero, one)], *tables, 257, 8, 10)
+
+
+def _schoolbook_dot(G, pairs, adds, cap):
+    return _schoolbook_sum(G, [(a + b, G.mul_packed(x, y))
+                               for e1, c1, e2, c2 in pairs
+                               for a, x in zip(e1.tolist(), c1.tolist())
+                               for b, y in zip(e2.tolist(), c2.tolist())]
+                           + [t for e, c in adds for t in zip(e.tolist(), c.tolist())], cap)
+
+
+def _check_dot(G, pairs, adds, cap):
+    e, c = pure.series_dot(pairs, adds, G.log_np, G.lane_np, G.lane_exp_np,
+                           G.order - 1, G.p, G.D, cap)
+    assert (e.tolist(), c.tolist()) == _schoolbook_dot(G, pairs, adds, cap)
+
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def test_dot_matches_schoolbook(F, F5, F7, F9):
+    # random pairs and addends, term-free operands among them, and caps
+    # that cut some pairs in the middle and leave others wholly past
+    rng = np.random.default_rng(21)
+    for G in (F, F5, F7, F9):
+        for _ in range(6):
+            pairs = [_rand_series(rng, G, int(rng.integers(1, 40)))
+                     + _rand_series(rng, G, int(rng.integers(1, 90))) for _ in range(3)]
+            adds = [_rand_series(rng, G, int(rng.integers(1, 60)), -200, 2000) for _ in range(2)]
+            pairs.append((_NONE, _NONE) + pairs[0][2:])
+            pairs.append(pairs[1][:2] + (_NONE, _NONE))
+            adds.append((_NONE, _NONE))
+            for cap in (int(rng.integers(0, 1700)), 4000):
+                _check_dot(G, pairs, adds, cap)
+            _check_dot(G, pairs[:1], [], 1200)
+            _check_dot(G, [], adds, 1500)
+            _check_dot(G, [pairs[3]], [adds[2]], 1500)
+
+
+def test_dot_pair_wholly_past_cap(F, F9):
+    rng = np.random.default_rng(22)
+    for G in (F, F9):
+        e1, c1 = _rand_series(rng, G, 20, 0, 100)
+        e2, c2 = _rand_series(rng, G, 30, 0, 100)
+        far = (e1 + 5000, c1, e2 + 5000, c2)
+        for cap in (150, int(e1[0] + e2[0]) + 1, 10000, 10001 + int(e1[0] + e2[0])):
+            _check_dot(G, [(e1, c1, e2, c2), far], [], cap)
+            _check_dot(G, [far], [(e2, c2)], cap)
+
+
+def test_dot_cap_at_or_below_base(F, F9):
+    rng = np.random.default_rng(23)
+    for G in (F, F9):
+        e1, c1 = _rand_series(rng, G, 20)
+        e2, c2 = _rand_series(rng, G, 10)
+        x, cx = _rand_series(rng, G, 15)
+        base = min(int(e1[0]) + int(e2[0]), int(x[0]))
+        for cap in (base - 7, base, base + 1):
+            _check_dot(G, [(e1, c1, e2, c2)], [(x, cx)], cap)
+        _check_dot(G, [], [], 100)
+
+
+@pytest.mark.parametrize("step", [1, 10 ** 4])
+def test_dot_lane_block_counts_across_pairs(F9, step):
+    # at q = 9 a lane block is 126 rows: two 100-row pairs that pile the
+    # digits p - 1 onto the same slots need a lane reduction between the
+    # pairs, which only a count across pairs makes; step 10^4 puts the sum
+    # in a sparse window
+    assert pure._lane_block(F9.p, F9.D) == 126
+    e = np.arange(100, dtype=np.int64) * step
+    one = np.ones(100, dtype=np.int64)
+    full = np.full(100, F9.order - 1, dtype=np.int64)
+    cap = 200 * step
+    pairs = [(e, one, e, full), (e, full, e, one)]
+    for adds in ([], [(e + 50 * step, full)]):
+        _check_dot(F9, pairs, adds, cap)
+    # an addend is one row too: 130 of them on the same slots pass a block
+    _check_dot(F9, pairs[:1], [(e, full)] * 130, cap)
+    _check_dot(F9, [], [(e, full)] * 130, cap)
+    e1, c1 = _run_product(F9, 100, 100, step)
+    e, c = pure.series_dot(pairs, [], F9.log_np, F9.lane_np, F9.lane_exp_np,
+                           F9.order - 1, F9.p, F9.D, cap)
+    # both pairs are the same product, so the sum doubles each coefficient
+    assert e.tolist() == e1 and c.tolist() == [F9.add_packed(x, x) for x in c1]
+
+
+def test_dot_wide_window(F, F5, F7, F9):
+    # a fused window wider than the dense cap: a pair near 0, and a pair
+    # and an addend far above it, whose slots are ranks among the
+    # exponents that occur below cap in any of them
+    assert 3 * 10 ** 6 > pure._DENSE_WINDOW > 1000
+    rng = np.random.default_rng(24)
+    for G in (F, F5, F7, F9):
+        for _ in range(3):
+            near = _rand_series(rng, G, 30, 0, 300) + _rand_series(rng, G, 20, 0, 300)
+            e, c = _rand_series(rng, G, 20, 0, 300)
+            far = (e + 2 * 10 ** 6, c)
+            pair_far = (e + 10 ** 6, c) + _rand_series(rng, G, 10, 10 ** 6, 10 ** 6 + 300)
+            for cap in (3 * 10 ** 6, 2 * 10 ** 6 + 150):
+                _check_dot(G, [near, pair_far], [far], cap)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmotive import ffield, linalg
+from tmotive import _kernels as linalg_kernels, ffield, linalg
 from tmotive.errors import SingularMatrixError
 from tmotive.ffield import ambient_field
 from tmotive.cinf import CinfElem, PolyT, c_inv, theta
@@ -190,6 +190,62 @@ def test_det_matches_naive_expansion(q):
             got, want = mat_det(m), naive_det(m)
             assert got == want
             assert [c.prec for c in got.coeffs] == [c.prec for c in want.coeffs]
+
+
+def chained_mat_mul(a, b):
+    """The oracle: each entry a[i][0] * b[0][j] + a[i][1] * b[1][j] + ...,
+    one operation at a time."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][j]
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_mat_mul_is_the_chained_loop(q):
+    # series entries go through one cinf.dot per entry, with the chained
+    # loop's bits and declared precisions, including zero entries and
+    # mixed precisions; PolyT and FFPoly entries take the loop itself
+    spec = ambient_field(q, 1, 4)
+    rng = random.Random(20 + q)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            a, b = _sparse_series_mat(spec, rng, n), _sparse_series_mat(spec, rng, n)
+            got, want = mat_mul(a, b), chained_mat_mul(a, b)
+            assert all(g == w and g.prec == w.prec
+                       for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+            pa = [[PolyT(spec, (x, y)) for x, y in zip(r0, r1)] for r0, r1 in zip(a, b)]
+            pb = [[PolyT(spec, (y, x)) for x, y in zip(r0, r1)] for r0, r1 in zip(a, b)]
+            got, want = mat_mul(pa, pb), chained_mat_mul(pa, pb)
+            assert all(g == w and [c.prec for c in g.coeffs] == [c.prec for c in w.coeffs]
+                       for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+            fa = [[ffield.FFPoly(spec, [spec.el(rng.randrange(spec.order)) for _ in range(3)])
+                   for _ in range(n)] for _ in range(n)]
+            fb = [[ffield.FFPoly(spec, [spec.el(rng.randrange(spec.order)) for _ in range(2)])
+                   for _ in range(n)] for _ in range(n)]
+            assert mat_mul(fa, fb) == chained_mat_mul(fa, fb)
+
+
+def test_series_mat_mul_is_one_kernel_call_per_entry(monkeypatch):
+    spec = ambient_field(3, 1, 4)
+    rng = random.Random(7)
+    a = _sparse_series_mat(spec, rng, 3)
+    b = [row[:2] for row in _sparse_series_mat(spec, rng, 3)]
+    calls = {"series_dot": 0, "series_mul": 0, "series_add_merge": 0}
+    for name in calls:
+        def spy(*args, real=getattr(linalg_kernels, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg_kernels, name, spy)
+    got = mat_mul(a, b)
+    monkeypatch.undo()
+    assert calls == {"series_dot": 6, "series_mul": 0, "series_add_merge": 0}
+    assert got == chained_mat_mul(a, b)
 
 
 def test_one_determinant():
