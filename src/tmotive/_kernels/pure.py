@@ -7,24 +7,25 @@ digits in lanes of 64 // D bits) as integers, reduces each lane mod p
 whenever the words added since the last reduction could overflow one,
 and repacks the lanes base p at the end; all of it is exact int64.
 
-Every product runs through one accumulation loop, series_dot, which
-sums any number of products and addends below cap in one window:
-series_mul is its one-pair call.  Each product's term pairs are formed
-a chunk of rows of its shorter operand at a time, about _PAIRS pairs
-per chunk, each chunk only over the columns its first row lands below
-cap in: an outer sum of exponents gives each pair's slot, an outer sum
-of logs its lane word (FieldSpec.lane_exp_np), and one np.add.at adds
-the chunk's words below cap into their slots.  An addend adds its lane
-words the same way, as one row.  The rows added since the last lane
-reduction are counted across all the pairs and addends of a call, and
-the lanes are repacked once, at the end.  A slot is the exponent's
-offset from the lowest exponent of the call, or, in windows wider than
-_DENSE_WINDOW (high-valuation tails are very sparse), its rank among
-the exponents that occur below cap.  The merge-add, like CinfElem's
-constructor, sums equal exponents with sum_terms.  series_mul and the
-merge-add take the same twelve arguments, so a caller or tracer handles
-them alike; the tests check every kernel against a schoolbook product
-and merge.
+Every product runs through one accumulation loop, series_dot, which sums
+any number of products and addends below cap in one window: series_mul
+is its one-pair call, except that a one-term factor c t^e only shifts
+the other's exponents by e and scales its coefficients by c.  Each
+product's term pairs are formed a chunk of rows of its shorter operand
+at a time, about _PAIRS pairs per chunk, each chunk only over the
+columns its first row lands below cap in: an outer sum of exponents
+gives each pair's slot, an outer sum of logs its lane word
+(FieldSpec.lane_exp_np), and one np.add.at adds the chunk's words below
+cap into their slots.  An addend adds its lane words the same way, as
+one row.  The rows added since the last lane reduction are counted
+across all the pairs and addends of a call, and the lanes are repacked
+once, at the end.  A slot is the exponent's offset from the lowest
+exponent of the call, or, in windows wider than _DENSE_WINDOW
+(high-valuation tails are very sparse), its rank among the exponents
+that occur below cap.  The merge-add, like CinfElem's constructor, sums
+equal exponents with sum_terms.  series_mul and the merge-add take the
+same twelve arguments, so a caller or tracer handles them alike; the
+tests check every kernel against a schoolbook product and merge.
 """
 
 import numpy as np
@@ -107,8 +108,19 @@ def series_add_merge(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap)
 
 
 def series_mul(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
-    """Full sparse product truncated at cap: the one-pair series_dot."""
-    return series_dot(((e1, c1, e2, c2),), (), logt, lane, lane_exp, qm1, p, D, cap)
+    """Full sparse product truncated at cap: the one-pair series_dot, except
+    that a one-term factor c t^e shifts the other's exponents by e and
+    scales its coefficients by c (products of nonzero elements are nonzero
+    and the shifted exponents stay distinct), with no accumulator."""
+    if len(e2) == 1:
+        e1, c1, e2, c2 = e2, c2, e1, c1
+    if len(e1) != 1 or not len(e2):
+        return series_dot(((e1, c1, e2, c2),), (), logt, lane, lane_exp, qm1, p, D, cap)
+    for e in (e1, e2):
+        assert -_EXP_BOUND < e[0] and e[-1] < _EXP_BOUND, "exponent outside int64 headroom"
+    _lane_block(p, D)
+    cut = np.searchsorted(e2, int(cap) - int(e1[0]))
+    return e2[:cut] + e1[0], expt[(logt[c2[:cut]] + logt[c1[0]]) % qm1]
 
 
 def _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block):

@@ -347,24 +347,27 @@ def _peel(x):
 
 
 def _newton_inv_root(unit, m):
-    """unit^(-1/m) for a unit 1 + u with v(u) > 0 and p not dividing m.
+    """unit^(-1/m) for a unit 1 + w with v(w) > 0 and p not dividing m.
 
-    Newton's iteration y -> y ((m + 1) - unit y^m) / m from y = 1
-    (Brent-Kung 1978) on a doubling schedule: P_J = rel, P_(j-1) =
-    ceil(P_j / 2) down to P_0 = 1, and step j >= 1 runs on y and unit at
-    precision P_j.  y = 1 is exact mod t^(1/N), so no step runs at P_0,
-    and v(1 - unit y^m) at least doubles per step, so y enters step j
-    exact below P_(j-1) >= P_j / 2 and leaves it exact below P_j; the
-    J = bitlen(rel - 1) steps end at the unique unit^(-1/m) mod
-    t^(rel/N), the same bits a run of every step at full precision gives.
+    Newton's iteration y -> y ((m + 1) - unit y^m) / m (Brent-Kung 1978)
+    on a halving schedule that starts at the precision already known:
+    with e1 the first exponent of w (rel when unit is exactly 1), y = 1 is
+    exact mod t^(e1/N).  P_J = rel and P_(j-1) = ceil(P_j / 2) while
+    P_j > e1, so P_0 <= e1 < P_1, and step j >= 1 runs on y and unit at
+    precision P_j.  v(1 - unit y^m) at least doubles per step, so y
+    enters step j exact below P_(j-1) >= P_j / 2 and leaves it exact below
+    P_j; the J steps (none when rel <= e1, and then no product is formed)
+    end at the unique unit^(-1/m) mod t^(rel/N), the same bits a run of
+    every step at full precision gives.
     """
     spec, rel = unit.spec, unit.prec
+    e1 = int(unit.exps[1]) if len(unit.exps) > 1 else rel
+    schedule = [rel]
+    while schedule[-1] > e1:
+        schedule.append((schedule[-1] + 1) // 2)
+    y = CinfElem.const(spec, unit.ram, schedule[-1], spec.one)
     top = CinfElem.const(spec, unit.ram, rel, spec.scalar(m + 1))
     m_inv = spec.scalar(m).inv()
-    schedule = [rel]
-    while schedule[-1] > 1:
-        schedule.append((schedule[-1] + 1) // 2)
-    y = CinfElem.const(spec, unit.ram, 1, spec.one)
     for p in reversed(schedule[:-1]):
         # raise y's declared precision; its terms are exact below ceil(p / 2)
         y = CinfElem(spec, unit.ram, p, y.exps, y.coeffs, _canonical=True)
@@ -395,10 +398,10 @@ def contract(x, update, apply, cap):
 
 def c_inv(x):
     """Series inverse: peel the leading monomial, then invert the unit by
-    the shared Newton iteration at m = 1, y -> y (2 - unit y), in
-    bitlen(rel - 1) steps whose precision doubles up to the relative
-    precision rel; the inverse mod t^rel is unique, so the bits are those
-    of full-precision steps.
+    the shared Newton iteration at m = 1, y -> y (2 - unit y), whose steps
+    double their precision from e1, the first exponent of unit - 1, up to
+    the relative precision rel (none when unit is exactly 1); the inverse
+    mod t^rel is unique, so the bits are those of full-precision steps.
     """
     if x.is_zero():
         raise PrecisionError("inverse of an element that is zero to precision")
@@ -466,9 +469,10 @@ def c_root(x, m):
     once; the root itself is the first one in packed order, found by
     exhaustive scan.  The unit's root is unit y^(m - 1) with
     y = unit^(-1/m) from the shared Newton iteration
-    y -> y ((m + 1) - unit y^m) / m in bitlen(rel - 1) steps whose
-    precision doubles up to the unit's relative precision rel (the root
-    mod t^rel is unique, so the bits are those of full-precision steps).
+    y -> y ((m + 1) - unit y^m) / m, whose steps double their precision
+    from e1, the first exponent of unit - 1, up to the unit's relative
+    precision rel (the root mod t^rel is unique, so the bits are those of
+    full-precision steps).
     The ramification is lifted to N*m when m does not divide the leading
     exponent.
     """

@@ -523,29 +523,30 @@ def det(rows):
     first rows included (they return their zero first entry), so series
     determinants keep its values and declared precisions.
     """
-    n = len(rows)
-    if n == 0:
+    if len(rows) == 0:
         raise ValueError("empty matrix")
-    memo = {}
+    return _minor(rows, {}, tuple(range(len(rows))))
 
-    def minor(cols):
-        row = rows[n - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        if cols in memo:
-            return memo[cols]
-        acc = None
-        for j, c in enumerate(cols):
-            if row[c].is_zero():
-                continue
-            term = row[c] * minor(cols[:j] + cols[j + 1:])
-            if j % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[cols] = out = row[cols[0]] if acc is None else acc
-        return out
 
-    return minor(tuple(range(n)))
+def _minor(rows, memo, cols):
+    """det's minor on column subset cols and the last len(cols) rows,
+    memoized in memo (a module-level function, so a call leaves no
+    reference cycle through a closure)."""
+    row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
+    if cols in memo:
+        return memo[cols]
+    acc = None
+    for j, c in enumerate(cols):
+        if row[c].is_zero():
+            continue
+        term = row[c] * _minor(rows, memo, cols[:j] + cols[j + 1:])
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    memo[cols] = out = row[cols[0]] if acc is None else acc
+    return out
 
 
 # the benchmark's tracer times FFPoly determinants under this name

@@ -532,6 +532,14 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     and every d.  For an F_q-basis element b, the D base-p digits of c b
     are the lanes of lane_exp_np[log c + log b], zero where c = 0; each
     digit is one F_p row.
+
+    The rows of a cap c are the first wants[c] exponents of the union of
+    the entry's series' shifted exponents, so the non-product series
+    alone bound them (_last_read), and each product Z1[i][l] Z2[m][j] is
+    formed only up to the last exponent any cap up to deg_cap reads in it:
+    the system, row for row, is the one full products give.  (When the
+    rows are cut at a certified precision instead, the bound is taken on
+    the cut non-product exponents.)
     """
     spec = Z1[0][0].spec
     p = spec.p
@@ -546,22 +554,27 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
     log_neg = int(spec.log_np[p - 1])
     one = CinfElem.const(spec, ram, prec, spec.one)
 
+    # rows an entry reads at each cap: three per F_p unknown over the n^2
+    # entries, and at least 24
+    wants = [max(24, (3 * 4 * n * n * (cap + 1) * stride) // max(1, n * n) + 8)
+             for cap in range(deg_cap + 1)]
+
     # per entry (i, j): ((block, l, m), series, negated) for the blocks
     # X, Y, U, V numbered 0-3, the order the unknowns run in before d
     entries = []
     for i in range(n):
         for j in range(n):
+            top = _last_read([one] + Z1[i] + [r[j] for r in Z2], ram, wants)
             terms = [((2, i, j), one, True)]
             for l in range(n):
                 terms.append(((0, l, j), Z1[i][l], False))
                 terms.append(((3, i, l), Z2[l][j], True))
-                terms += [((1, l, m), Z1[i][l] * Z2[m][j], False) for m in range(n)]
+                terms += [((1, l, m), _product_below(Z1[i][l], Z2[m][j], top), False)
+                          for m in range(n)]
             entries.append([t for t in terms if len(t[1].exps)])
 
-    for cap in range(deg_cap + 1):
+    for cap, want in enumerate(wants):
         offs = np.arange(cap + 1)
-        n_unknowns = 4 * n * n * (cap + 1)
-        want = max(24, (3 * n_unknowns * stride) // max(1, n * n) + 8)
         blocks = []
         for terms in entries:
             if not terms:
@@ -592,6 +605,33 @@ def recover_change_of_basis(Z1, Z2, deg_cap, slack_units):
             if _verify_change_of_basis(C, Z1, Z2, tol):
                 return C
     raise RecoveryError(f"no polynomial change of basis up to degree {deg_cap}")
+
+
+def _last_read(series, ram, wants):
+    """The highest exponent an entry's rows can read in a product, or None.
+
+    At cap c the rows are the first wants[c] values of the union U_c of
+    the entry's series' exponents, each shifted by -d ram for d <= c, and
+    a product is read at those values + d ram.  The non-product series
+    give a subset A_c of U_c, so the wants[c]-th value of A_c bounds the
+    rows; None when some A_c has fewer values.
+    """
+    tops = []
+    for cap, want in enumerate(wants):
+        offs = np.arange(cap + 1)
+        vals = _kernels.distinct(np.concatenate(
+            [(s.exps - (offs * s.ram)[:, None]).ravel() for s in series]))
+        if len(vals) < want:
+            return None
+        tops.append(int(vals[want - 1]) + cap * ram)
+    return max(tops, default=None)
+
+
+def _product_below(a, b, top):
+    """a * b with every term at an exponent <= top; all of it for None."""
+    if top is None:
+        return a * b
+    return a.truncate(top + 1 - b.min_exp()) * b.truncate(top + 1 - a.min_exp())
 
 
 def _fq_combinations(null, p):

@@ -323,6 +323,56 @@ def test_newton_precision_doubles_per_step(F, monkeypatch):
     assert y == _oracle_inv(x)
 
 
+def _sparse_series(G, rng, ram, e0, rel, e):
+    """lead t^(e0/N) (1 + c t^(e/N) + ...) at relative precision rel: terms at
+    e0, e0 + e and three random exponents above that, the ones at or past
+    rel cut, so e >= rel leaves a unit of exactly 1; lead is a fourth
+    power, so square and fourth roots exist."""
+    lead = G.el(rng.randrange(1, G.order)) ** 4
+    ks = [e] + [e + rng.randrange(1, rel) for _ in range(3)]
+    terms = [(e0, lead)] + [(e0 + k, G.el(rng.randrange(1, G.order))) for k in ks]
+    x = CinfElem.from_terms(G, ram, e0 + rel, terms)
+    assert x.exps[0] == e0 and (x.exps[1] - e0 == e if e < rel else len(x.exps) == 1)
+    return x
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_newton_from_the_first_term_matches_oracles(p, s, D):
+    # y = 1 is exact below the unit's first non-constant exponent e, so
+    # Newton starts there: e = 1 is the old start, e >= rel takes no step
+    G = ambient_field(p, s, D)
+    rng = random.Random(5 * p + s)
+    for ram in (2, G.q * G.q - 1):
+        for rel in (40, 129):
+            for e in (1, rel // 3, rel - 1, rel, rel + 5):
+                x = _sparse_series(G, rng, ram, 4 * rng.randrange(-2 * ram, 2 * ram), rel, e)
+                assert _outcome(c_inv, x) == _outcome(_oracle_inv, x)
+                for m in (2, 4):
+                    assert _outcome(c_root, x, m) == _outcome(_hensel_root, x, m)
+
+
+def test_newton_steps_run_only_above_the_start(F, monkeypatch):
+    rel = PU
+    rng = random.Random(19)
+    calls = []
+    for name in ("series_mul", "series_dot", "series_add_merge"):
+        def spy(*args, _name=name, _kernel=getattr(cinf._kernels, name)):
+            calls.append((_name, args[-1]))
+            return _kernel(*args)
+        monkeypatch.setattr(cinf._kernels, name, spy)
+    halvings = sorted({-(-rel // 2 ** k) for k in range(rel.bit_length() + 1)})
+    for e in (1, rel // 3, rel - 1, rel, rel + 5):
+        x = _sparse_series(F, rng, N, 0, rel, e)
+        calls.clear()
+        y = c_inv(x)
+        # a step runs at each halving of rel above e, and forms two
+        # products, unit y and y (2 - unit y); exactly 1 makes no kernel call
+        caps = [cap for name, cap in calls if name == "series_mul"]
+        assert caps == [P for P in halvings if P > e for _ in range(2)]
+        assert bool(calls) == (e < rel)
+        assert y == _oracle_inv(x)
+
+
 @pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 8)])
 def test_inverse_theta_difference_closed_form(p, s, D):
     # every step exp_coeffs may take: q^i ram <= 2^60 (its int64 guard)

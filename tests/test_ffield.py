@@ -1,3 +1,4 @@
+import gc
 import operator
 import random
 from itertools import permutations
@@ -350,6 +351,21 @@ def test_det_forms_each_minor_once():
     assert got.v == want
     with pytest.raises(ValueError):
         det([])
+
+
+def test_det_leaves_no_reference_cycle(F):
+    # a recursion through a closure that names itself would leave the
+    # matrix and its memo of minors in a cycle until the collector runs
+    rng = random.Random(9)
+    rows = [[FFPoly(F, [F.el(rng.randrange(F.order)) for _ in range(3)]) for _ in range(3)]
+            for _ in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        det(rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ffpoly_unit_inverse(F):

@@ -49,7 +49,6 @@ def test_no_unused_imports():
 # read every other argument (series_dot, the untraced fused product,
 # reads all of its own)
 _SHARED_SIGNATURES = {"_kernels/pure.py": {
-    "series_mul": {"expt"},
     "series_add_merge": {"logt", "expt", "lane_exp", "qm1"},
 }}
 

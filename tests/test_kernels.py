@@ -154,6 +154,32 @@ def test_cap_at_or_below_base(F, F9):
         _check_add(G, e1, c1, empty, empty, int(e1[5]))
 
 
+def test_one_term_factor_shifts_and_scales(F, F5, F7, F9, monkeypatch):
+    # a one-term factor on either side, negative exponents on both, caps
+    # past the product, mid-series, at and below its first exponent: the
+    # other operand only shifts and scales, with no accumulation
+    def no_dot(*args):
+        raise AssertionError("a one-term product reached the accumulator")
+
+    rng = np.random.default_rng(23)
+    empty = np.empty(0, dtype=np.int64)
+    for G in (F, F5, F7, F9):
+        for size in (1, 40):
+            e1 = np.asarray([rng.integers(-300, 300)], dtype=np.int64)
+            c1 = rng.integers(1, G.order, size=1).astype(np.int64)
+            e2, c2 = _rand_series(rng, G, size)
+            first, last = int(e1[0] + e2[0]), int(e1[0] + e2[-1])
+            mid = int(e1[0] + e2[size // 2])
+            with monkeypatch.context() as m:
+                m.setattr(pure, "series_dot", no_dot)
+                for cap in (first - 5, first, first + 1, mid, last, last + 1, 1 << 40):
+                    _check_mul(G, e1, c1, e2, c2, cap)
+                    _check_mul(G, e2, c2, e1, c1, cap)
+        # a term-free other operand
+        _check_mul(G, e1, c1, empty, empty, 1700)
+        _check_mul(G, empty, empty, e1, c1, 1700)
+
+
 def _run_product_closed_form(G, n1, n2, step):
     # sum_{i<n1} t^(step i) times sum_{i<n2} c t^(step i) for c = G.order - 1,
     # whose D digits are all p - 1: t^(step s) collects

@@ -558,14 +558,13 @@ def _outcome(f, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
-@pytest.mark.parametrize("n", [1, 2])
-def test_recovery_matches_per_digit_oracle(q, n):
-    # Z2 = omega I plus a few terms per entry lies in the Siegel half-space;
-    # Z1 is its image under gammas of degree 1 and 2, then a perturbation
+def _recovery_pairs(q, n, seed):
+    """(Z1, Z2, deg_cap): Z2 = omega I plus a few terms per entry lies in the
+    Siegel half-space; Z1 is its image under gammas of degree 1 and 2, then
+    a perturbation of Z2, which no change of basis relates to it."""
     spec, ram = Config.from_q(q).spec, q * q - 1
     prec = 16 * ram
-    rng = random.Random(10 * q + n)
+    rng = random.Random(seed)
     units = [x for x in spec.subfield(2) if x]
 
     def terms(lo, hi):
@@ -575,13 +574,50 @@ def test_recovery_matches_per_digit_oracle(q, n):
 
     Z2 = eye(spec, ram, prec, n, scale=spec.omega)
     Z2 = [[x + terms(1, 4) for x in r] for r in Z2]
-    pairs = [(mobius(random_gamma(spec, n, k, rng), SiegelMatrix(Z2)).Z, k + 1)
+    pairs = [(mobius(random_gamma(spec, n, k, rng), SiegelMatrix(Z2)).Z, Z2, k + 1)
              for k in (1, 2)]
-    pairs.append(([[x + terms(2, 3) for x in r] for r in Z2], 1))
-    for Z1, cap in pairs:
-        want = _outcome(_oracle_recover, Z1, Z2, cap, 4)
-        got = _outcome(recover_change_of_basis, Z1, Z2, cap, 4)
-        assert got == want
+    pairs.append(([[x + terms(2, 3) for x in r] for r in Z2], Z2, 1))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_recovery_matches_per_digit_oracle(q, n, monkeypatch):
+    # at n = 2 the gamma-related pairs run again at deg_cap 8, the default
+    # of lattices_equal: the rows an entry reads grow with the cap, and so
+    # does the last exponent its products are formed up to.  The perturbed
+    # pair's sparse series have fewer exponents than a cap's rows, so its
+    # products are formed in full
+    tops = []
+    last_read = latticemap._last_read
+    monkeypatch.setattr(latticemap, "_last_read", lambda *a: tops.append(last_read(*a)) or tops[-1])
+    for Z1, Z2, cap in _recovery_pairs(q, n, 10 * q + n):
+        for deg_cap in (cap, 8) if n == 2 and cap > 1 else (cap,):
+            want = _outcome(_oracle_recover, Z1, Z2, deg_cap, 4)
+            got = _outcome(recover_change_of_basis, Z1, Z2, deg_cap, 4)
+            assert got == want
+    if n == 2:
+        assert None in tops and any(t is not None for t in tops)
+
+
+def test_recovery_cut_keeps_every_row(monkeypatch):
+    # the F_p system of each cap is the one full products give, row for row
+    fp_nullspace = latticemap._fp_nullspace
+
+    def systems(Z1, Z2, deg_cap, full):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(latticemap, "_fp_nullspace", lambda a, p: seen.append(a) or fp_nullspace(a, p))
+            if full:
+                m.setattr(latticemap, "_last_read", lambda *a: None)
+            return _outcome(recover_change_of_basis, Z1, Z2, deg_cap, 4), seen
+
+    for q in (3, 5):
+        for Z1, Z2, _ in _recovery_pairs(q, 2, q):
+            cut, full = systems(Z1, Z2, 8, False), systems(Z1, Z2, 8, True)
+            assert cut[0] == full[0]
+            assert len(cut[1]) == len(full[1])
+            assert all(np.array_equal(a, b) for a, b in zip(cut[1], full[1]))
 
 
 def _brute_nullity(a, p):
