@@ -15,14 +15,16 @@ product's term pairs are formed a chunk of rows of its shorter operand
 at a time, about _PAIRS pairs per chunk, each chunk only over the
 columns its first row lands below cap in: an outer sum of exponents
 gives each pair's slot, an outer sum of logs its lane word
-(FieldSpec.lane_exp_np), and one np.add.at adds the chunk's words below
+(FieldSpec.lane_exp_np, which runs twice over the Q - 1 logs, so a sum
+of two needs no modulo), and one np.add.at adds the chunk's words below
 cap into their slots.  An addend adds its lane words the same way, as
-one row.  The rows added since the last lane reduction are counted
-across all the pairs and addends of a call, and the lanes are repacked
-once, at the end.  A slot is the exponent's offset from the lowest
-exponent of the call, or, in windows wider than _DENSE_WINDOW
-(high-valuation tails are very sparse), its rank among the exponents
-that occur below cap.  The merge-add, like CinfElem's constructor, sums
+one row.  A pair or addend whose least term lands at or past cap is
+dropped before any array is formed for it.  The rows added since the
+last lane reduction are counted across all the pairs and addends of a
+call, and the lanes are repacked once, at the end.  A slot is the
+exponent's offset from the lowest exponent of the call, or, in windows
+wider than _DENSE_WINDOW (high-valuation tails are very sparse), its
+rank among the exponents that occur below cap.  The merge-add, like CinfElem's constructor, sums
 equal exponents with sum_terms.  series_mul and the merge-add take the
 same twelve arguments, so a caller or tracer handles them alike; the
 tests check every kernel against a schoolbook product and merge.
@@ -123,12 +125,13 @@ def series_mul(e1, c1, e2, c2, logt, expt, lane, lane_exp, qm1, p, D, cap):
     return e2[:cut] + e1[0], expt[(logt[c2[:cut]] + logt[c1[0]]) % qm1]
 
 
-def _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block):
+def _chunks(pairs, adds, base, logt, lane, lane_exp, window, block):
     """(rows, offsets below window, their lane words) for each addend and
     each chunk of rows of each pair (e1 the shorter operand), whose offsets
     from base are sums of exponents and whose words are lane_exp at sums
-    of logs.  A chunk takes only the columns its first row lands below
-    window in: e1 is sorted, so its later rows need no others."""
+    of logs, which the table covers with no modulo.  A chunk takes only
+    the columns its first row lands below window in: e1 is sorted, so its
+    later rows need no others."""
     for e, c in adds:
         d = e - base
         m = d < window
@@ -145,7 +148,7 @@ def _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block):
             r = slice(i, i + rows)
             pos = e1[r, None] + d2[:cols]
             m = pos < window
-            pos, words = pos[m], lane_exp[(l1[r, None] + l2[:cols])[m] % qm1]
+            pos, words = pos[m], lane_exp[(l1[r, None] + l2[:cols])[m]]
             yield len(e1[r]), pos, words
             del pos, words  # freed before the next chunk forms its own
             i += rows
@@ -154,21 +157,25 @@ def _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block):
 def series_dot(pairs, adds, logt, lane, lane_exp, qm1, p, D, cap):
     """Sum of the products (e1, c1) * (e2, c2) over pairs and of the series
     (e, c) in adds, truncated at cap: every term goes into one accumulator,
-    whose lanes are repacked once."""
+    whose lanes are repacked once.  lane_exp must run over every sum of
+    two logs, at least 2 qm1 - 1 words.  A pair or addend that is
+    term-free, or whose least term lands at or past cap, forms nothing."""
+    assert len(lane_exp) >= 2 * qm1 - 1, "lane_exp does not cover a sum of two logs"
     pairs = [(e1, c1, e2, c2) if len(e1) <= len(e2) else (e2, c2, e1, c1)
              for e1, c1, e2, c2 in pairs if len(e1) and len(e2)]
     adds = [(e, c) for e, c in adds if len(e)]
     for e in [x for e1, _, e2, _ in pairs for x in (e1, e2)] + [e for e, _ in adds]:
         assert -_EXP_BOUND < e[0] and e[-1] < _EXP_BOUND, "exponent outside int64 headroom"
-    lows = [int(e1[0]) + int(e2[0]) for e1, _, e2, _ in pairs] + [int(e[0]) for e, _ in adds]
-    base = min(lows, default=cap)
-    window = int(cap) - base
-    if window <= 0:
-        return _EMPTY.copy(), _EMPTY.copy()
     # a row's slots are distinct, and so are an addend's, so each adds one
     # word to a lane; the rows since the last reduction count across the call
     block = _lane_block(p, D)
-    chunks = _chunks(pairs, adds, base, logt, lane, lane_exp, qm1, window, block)
+    pairs = [(e1, c1, e2, c2) for e1, c1, e2, c2 in pairs if int(e1[0]) + int(e2[0]) < cap]
+    adds = [(e, c) for e, c in adds if int(e[0]) < cap]
+    if not pairs and not adds:
+        return _EMPTY.copy(), _EMPTY.copy()
+    base = min([int(e1[0]) + int(e2[0]) for e1, _, e2, _ in pairs] + [int(e[0]) for e, _ in adds])
+    window = int(cap) - base
+    chunks = _chunks(pairs, adds, base, logt, lane, lane_exp, window, block)
     occ = None  # a wide window's offsets that occur; a slot is a rank in it
     if window > _DENSE_WINDOW:
         chunks = list(chunks)

@@ -138,7 +138,9 @@ class FieldSpec:
     * ``log[x]``  discrete log of packed x (log[0] = -1),
     * ``lane_np[x]`` the D digits of packed x, digit d in bits
       [b*d, b*d + b) of one int64 word, b = 64 // D, and
-      ``lane_exp_np[j] = lane_np[exp[j]]``.
+      ``lane_exp_np[j] = lane_np[exp[j mod (Q - 1)]]`` for j < 2(Q - 1),
+      Q = p^D: the table twice over, so that the series kernels index it
+      by a sum of two logs with no modulo.
 
     Addition is digit-wise mod p: x + y adds lane_np[x] and lane_np[y]
     and reduces each lane mod p, as the series kernels do for arrays.
@@ -207,9 +209,11 @@ class FieldSpec:
         self._log = self.log_np.tolist()
         # one word per element, so a sum adds each term with one integer add
         bits = 64 // D
-        self.lane_exp_np = (1 << bits * np.arange(D, dtype=np.int64)) @ V
+        lane_exp = (1 << bits * np.arange(D, dtype=np.int64)) @ V
         self.lane_np = np.zeros(Q, dtype=np.int64)
-        self.lane_np[self.exp_np] = self.lane_exp_np
+        self.lane_np[self.exp_np] = lane_exp
+        # twice over, so a sum of two logs indexes it with no modulo
+        self.lane_exp_np = np.concatenate((lane_exp, lane_exp))
         # add_packed's scalar form of lane_digits
         self._lane = self.lane_np.tolist()
         self._lane_places = [(bits * d, p ** d) for d in range(D)]

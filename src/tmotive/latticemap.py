@@ -153,7 +153,9 @@ class Lattice:
         that E1 is invertible and that det(Z - Zbar) = (2 omega)^n det Im Z
         is nonzero to precision.  E1 is not inverted: Z comes from one
         solve, E1^T Z^T = E2^T, whose elimination finds a pivot in every
-        column exactly when E1 is invertible to precision.
+        column exactly when E1 is invertible to precision.  Only the
+        leading term of det(Z - Zbar) is read (whether it exists, and its
+        valuation), so _leading_det forms it from truncated entries.
         """
         e1, e2 = self.blocks()
         try:
@@ -164,11 +166,39 @@ class Lattice:
         for row in self.rows:
             for x in row:
                 c_conj(x)
-        det = mat_det(mat_sub(Z, [[c_conj(x) for x in r] for r in Z]))
+        det = _leading_det(mat_sub(Z, [[c_conj(x) for x in r] for r in Z]))
         if det.is_zero():
             raise SingularMatrixError("lattice basis does not have full rank 2n")
         self.siegel = SiegelMatrix(Z)
         self.v_det_im_z = det.valuation()
+
+
+def _leading_det(m):
+    """A determinant of the square series matrix m with mat_det(m)'s
+    leading term, or term-free exactly when mat_det(m) is; its declared
+    precision may be lower.
+
+    The entries are cut at a cap c, starting four units (4 ram) above
+    the least entry exponent lo, and c - lo doubles until the cut
+    determinant shows a term or c reaches the entries' precision, where
+    the cut is a no-op and this is mat_det(m).  A nonzero entry keeps at
+    least its leading term, so the expansion skips the same zero entries
+    and runs the same tree of products, sums and negations on truncations
+    of the full operands.  Each node then declares at most the full
+    node's precision and agrees with it below its own, so the cut
+    determinant's first term is the full one's leading term.  A 1 x 1
+    determinant is its entry, and forms nothing.
+    """
+    if len(m) == 1:
+        return m[0][0]
+    top = max(x.prec for r in m for x in r)
+    lo = min((int(x.exps[0]) for r in m for x in r if len(x.exps)), default=top)
+    c = min(lo + 4 * m[0][0].ram, top)
+    while True:
+        det = mat_det([[x.truncate(max(c, x.min_exp() + 1)) for x in r] for r in m])
+        if c >= top or not det.is_zero():
+            return det
+        c = min(lo + 2 * (c - lo), top)
 
 
 class SiegelMatrix:

@@ -14,7 +14,7 @@ forms each minor once.
 
 Sizes stay tiny (at most a dozen rows), so the implementations favor
 clarity: Gauss-Jordan with valuation pivoting for inversion and solving
-over the series.
+over the series, which forms only the columns right of each pivot.
 """
 
 from math import inf
@@ -103,6 +103,14 @@ def mat_solve(a, rhs):
 
     Pivots are the largest entries non-archimedeanly (smallest valuation),
     which keeps the elimination exact-to-precision.
+
+    A settled column is never formed: after column col is pivoted, the
+    pivot row is scaled and the other rows are updated on the columns
+    right of col only.  Later steps read column col2 > col (the pivot
+    search and the factor) and m[col2][col2 + 1:], and the result is
+    row[n:], so the entries at or left of each pivot (the pivot's own,
+    which would be 1, and the eliminated ones, which would be 0) stay
+    stale but unread, and every entry read is the full elimination's.
     """
     n = len(a)
     m = [list(ra) + list(rr) for ra, rr in zip(a, rhs)]
@@ -112,12 +120,13 @@ def mat_solve(a, rhs):
             raise SingularMatrixError(f"no pivot in column {col}")
         m[col], m[piv] = m[piv], m[col]
         inv = c_inv(m[col][col])
-        m[col] = [x * inv for x in m[col]]
+        right = [x * inv for x in m[col][col + 1:]]
+        m[col][col + 1:] = right
         for r in range(n):
             if r == col or m[r][col].is_zero():
                 continue
             f = m[r][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            m[r][col + 1:] = [x - f * y for x, y in zip(m[r][col + 1:], right)]
     return [row[n:] for row in m]
 
 

@@ -39,6 +39,16 @@ def test_criterion(number):
     assert res.passed, f"criterion {number} failed: {res.details}"
 
 
+@pytest.mark.parametrize("number", [3, 5])
+def test_criterion_at_n3(number):
+    # n = 3 through the real pipeline: the exponential's functional
+    # equation, and the lattice round trip, which runs the 3 x 3 Siegel
+    # solve and the rank test's 3 x 3 determinant
+    res = run_criterion(number, Config(prec=100), ns=(3,))
+    print(res.line())
+    assert res.passed, f"criterion {number} failed at n = 3: {res.details}"
+
+
 def test_criterion_1_names_coefficients_past_the_precision_clamp(monkeypatch):
     # C8 leads at valuation 4 * 3^8 units, exponent numerator 209,952 at
     # ram 8, past a clamp of 2^17: both sides are zero there, and the

@@ -275,6 +275,21 @@ def test_kernel_asserts_its_bounds(F):
         pure.series_dot([], [(zero, one)], *tables, 257, 8, 10)
 
 
+def test_dot_table_covers_every_sum_of_two_logs(F, F5, F7, F9):
+    # the kernel indexes lane_exp by a sum of two logs with no modulo: the
+    # largest sum, 2 (Q - 2), reads the table's last word, and a table one
+    # word shorter than 2 (Q - 1) - 1 is refused
+    zero = np.zeros(1, dtype=np.int64)
+    for G in (F, F5, F7, F9):
+        qm1 = G.order - 1
+        top = G.exp_np[qm1 - 1:]  # the element of largest log
+        _check_dot(G, [(zero, top, zero, top)], [], 10)
+        short = G.lane_exp_np[:2 * qm1 - 2]
+        with pytest.raises(AssertionError, match="two logs"):
+            pure.series_dot([(zero, top, zero, top)], [], G.log_np, G.lane_np, short,
+                            qm1, G.p, G.D, 10)
+
+
 def _schoolbook_dot(G, pairs, adds, cap):
     return _schoolbook_sum(G, [(a + b, G.mul_packed(x, y))
                                for e1, c1, e2, c2 in pairs
@@ -320,6 +335,29 @@ def test_dot_pair_wholly_past_cap(F, F9):
         for cap in (150, int(e1[0] + e2[0]) + 1, 10000, 10001 + int(e1[0] + e2[0])):
             _check_dot(G, [(e1, c1, e2, c2), far], [], cap)
             _check_dot(G, [far], [(e2, c2)], cap)
+
+
+def test_dot_forms_nothing_for_a_pair_past_cap(F, F9, monkeypatch):
+    # a pair or addend whose least term lands at or past cap never reaches
+    # _chunks, so no array is formed for it, and the sum is unchanged
+    rng = np.random.default_rng(25)
+    for G in (F, F9):
+        e1, c1 = _rand_series(rng, G, 20, 0, 100)
+        e2, c2 = _rand_series(rng, G, 30, 0, 100)
+        near = (e1, c1, e2, c2)
+        far = (e1 + 5000, c1, e2 + 5000, c2)
+        cap = int(far[0][0] + far[2][0])
+        seen = []
+
+        def spy(pairs, adds, *rest, real=pure._chunks):
+            seen.append(([x[0][0] for x in pairs], [e[0] for e, _ in adds]))
+            return real(pairs, adds, *rest)
+
+        monkeypatch.setattr(pure, "_chunks", spy)
+        _check_dot(G, [near, far], [(e1, c1), (e2 + cap, c2)], cap)
+        _check_dot(G, [far], [(e2 + cap, c2)], cap)
+        monkeypatch.undo()
+        assert seen == [([int(e1[0])], [int(e1[0])])]
 
 
 def test_dot_cap_at_or_below_base(F, F9):

@@ -12,7 +12,8 @@ from tmotive.errors import GammaShapeError, RecoveryError, SingularMatrixError
 from tmotive.ffield import FFElem, FFPoly, ambient_field, ffpoly_det, omega_split
 from tmotive.cinf import CinfElem, c_conj, c_inv, q_twist, theta_ij, t_uniformizer
 from tmotive.anderson import exp_coeffs, exp_eval_scalar, make_tmotive
-from tmotive.linalg import eye, mat_inv, mat_min_prec, mat_mul
+from tmotive.linalg import (eye, mat_det, mat_inv, mat_min_prec, mat_mul, mat_solve,
+                            mat_sub, transpose)
 from tmotive.latticemap import (GammaElem, Lattice, SiegelMatrix, carlitz_period,
                                 d10_series, gamma_from_alpha, lattice_of,
                                 lattices_equal, mobius, mobius_raw, mu13, mu34,
@@ -234,6 +235,108 @@ def test_rank_check_solves_without_inverting(F, monkeypatch):
         lhs = mat_mul(Z, e1)
         assert all(x.same_terms(y) for rl, rr in zip(lhs, e2) for x, y in zip(rl, rr))
         assert mu34(siegel_of(lat)).siegel.Z == Z
+
+
+def _full_rank_verdict(rows):
+    """The oracle: the rank test on the full det(Z - Zbar), None when it
+    is zero to precision, else its valuation."""
+    n = len(rows) // 2
+    Z = transpose(mat_solve(transpose(rows[:n]), transpose(rows[n:])))
+    det = mat_det(mat_sub(Z, [[c_conj(x) for x in r] for r in Z]))
+    return None if det.is_zero() else det.valuation()
+
+
+def _siegel_rows(F, P, Q):
+    """Rows (E_n; Z) with Z = P + omega Q, so Z - Zbar = 2 omega Q for P, Q
+    over F_q."""
+    n = len(Q)
+    one = _const(F, F.one)
+    zero = CinfElem.zero(F, N, PU * N)
+    return ([[one if i == j else zero for j in range(n)] for i in range(n)]
+            + [[p + q.scale(F.omega) for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)])
+
+
+def test_rank_test_reads_the_full_determinants_leading_term(F, monkeypatch):
+    # v_det_im_z and the full-rank verdict are those of the full
+    # det(Z - Zbar), at n = 2 and 3, on lattices of motives and on Siegel
+    # matrices whose determinant leads far past the first cap, whose
+    # leading term needs an entry that lies past the first cap, or which
+    # are rank-deficient
+    rng = random.Random(50)
+    fq = [F.el(x) for x in F.subfield(1) if x]
+
+    def series(vmin, vmax):
+        return CinfElem.from_terms(F, N, PU * N, [(rng.randrange(vmin * N, vmax * N),
+                                                   rng.choice(fq)) for _ in range(3)])
+
+    def t(m):
+        return t_pow(F, m)
+
+    one, zero = _const(F, F.one), CinfElem.zero(F, N, PU * N)
+    units = [x for x in F.subfield(2) if x]
+    cases = []
+    for n in (2, 3):
+        A = [[t_pow(F, rng.randrange(1, 4), prec=60).scale(F.el(rng.choice(units)))
+              for _ in range(n)] for _ in range(n)]
+        cases.append(("motive", lattice_of(make_tmotive(A)).rows))
+        for _ in range(2):
+            cases.append(("random", _siegel_rows(F, [[series(0, 6) for _ in range(n)]
+                                                     for _ in range(n)],
+                                                 [[series(-2, 6) for _ in range(n)]
+                                                  for _ in range(n)])))
+    P2 = [[series(0, 4) for _ in range(2)] for _ in range(2)]
+    P3 = [[series(0, 4) for _ in range(3)] for _ in range(3)]
+    # det Q = t^40 and t^32, with entries of valuation 0
+    cases.append(("deep", _siegel_rows(F, P2, [[one, one], [one, one + t(40)]])))
+    cases.append(("deep", _siegel_rows(F, P3, [[one, one, one], [one, one + t(30), one],
+                                               [one, one, one + t(2)]])))
+    # det Q = t^20 - t^16: the leading term needs the t^16 entry
+    cases.append(("cut", _siegel_rows(F, P2, [[t(10), t(16)], [one, t(10)]])))
+    cases.append(("deficient", _siegel_rows(F, P2, [[one, t(3)], [one, t(3)]])))
+    cases.append(("deficient", _siegel_rows(F, P3, [[one, t(1), t(2)], [t(1), one, zero],
+                                                    [one + t(1), one + t(1), t(2)]])))
+    calls = []
+
+    def det_spy(m, real=latticemap.mat_det):
+        calls.append(len(m))
+        return real(m)
+
+    for kind, rows in cases:
+        want = _full_rank_verdict(rows)
+        calls.clear()
+        monkeypatch.setattr(latticemap, "mat_det", det_spy)
+        if want is None:
+            with pytest.raises(SingularMatrixError, match="full rank"):
+                Lattice(rows)
+        else:
+            assert Lattice(rows).v_det_im_z == want
+        monkeypatch.undo()
+        assert (want is None) == (kind == "deficient")
+        if kind == "deep":
+            assert len(calls) >= 3  # the cap doubled at least twice
+        if kind == "cut":
+            assert want == 16
+    # n = 1: the entry itself, no determinant formed
+    monkeypatch.setattr(latticemap, "mat_det", lambda m: pytest.fail("mat_det at n = 1"))
+    for rows in (lattice_of(make_tmotive([[t_pow(F, 3, prec=60)]])).rows,
+                 _siegel_rows(F, [[series(0, 4)]], [[series(-2, 4)]])):
+        assert Lattice(rows).v_det_im_z == _full_rank_verdict(rows)
+
+
+def test_leading_det_keeps_the_full_leading_term(F):
+    # the cut determinant's first term, exponent and coefficient, is the
+    # full one's; its declared precision is at most the full one's
+    rng = random.Random(51)
+    for n in (2, 3):
+        for _ in range(6):
+            m = [[CinfElem.from_terms(F, N, PU * N,
+                                      [(rng.randrange(-2 * N, 40 * N), F.el(rng.randrange(1, F.order)))
+                                       for _ in range(rng.randrange(1, 4))])
+                  for _ in range(n)] for _ in range(n)]
+            got, want = latticemap._leading_det(m), mat_det(m)
+            assert got.is_zero() == want.is_zero() and got.prec <= want.prec
+            if not want.is_zero():
+                assert got.leading() == want.leading()
 
 
 def test_mu34_siegel_roundtrip_bit_exact(F):

@@ -271,3 +271,130 @@ def test_pm_det_2x2(F):
     assert d.degree() == 2
     assert d.coeffs[0].same_terms(th * th)
     assert d.coeffs[1].same_terms(th.scale(F.scalar(-2)))
+
+
+def full_elimination_solve(a, rhs):
+    """The oracle: Gauss-Jordan with valuation pivoting that scales and
+    updates every column of each row, settled ones included."""
+    n = len(a)
+    m = [list(ra) + list(rr) for ra, rr in zip(a, rhs)]
+    for col in range(n):
+        piv = linalg._pivot_row(col, col, m)
+        if piv < 0:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        m[col], m[piv] = m[piv], m[col]
+        inv = c_inv(m[col][col])
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r == col or m[r][col].is_zero():
+                continue
+            f = m[r][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _solve_cases(spec, rng):
+    """(a, rhs) at n = 1, 2, 3 with 1-3 right-hand columns; in half of
+    them the leading entry has a high valuation, so column 0 pivots on a
+    lower row, and some entries are zero."""
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            for swap in (False, True):
+                a = _sparse_series_mat(spec, rng, n)
+                if swap and n > 1:
+                    a[0][0] = CinfElem.monomial(spec, N, PU * N, 30 * N, spec.el(2))
+                    a[1][0] = CinfElem.const(spec, N, PU * N, spec.one) + a[1][0]
+                rhs = [row[:k] for row in _sparse_series_mat(spec, rng, max(n, k))[:n]]
+                yield a, rhs
+
+
+@pytest.mark.parametrize("q, s, D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_trimmed_solve_matches_full_elimination(q, s, D):
+    # every entry the trimmed solve returns, and its declared precision,
+    # is the full elimination's, and so is every inverse
+    spec = ambient_field(q, s, D)
+    rng = random.Random(30 + q * s)
+    solved = swapped = 0
+    for a, rhs in _solve_cases(spec, rng):
+        try:
+            want = full_elimination_solve(a, rhs)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                mat_solve(a, rhs)
+            continue
+        got = mat_solve(a, rhs)
+        assert all(g == w and g.prec == w.prec
+                   for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+        n = len(a)
+        eye_n = linalg.eye(spec, a[0][0].ram, linalg.mat_min_prec(a), n)
+        assert all(g == w and g.prec == w.prec
+                   for gr, wr in zip(mat_inv(a), full_elimination_solve(a, eye_n))
+                   for g, w in zip(gr, wr))
+        solved += 1
+        swapped += linalg._pivot_row(0, 0, a) != 0
+    assert solved >= 12 and swapped >= 4
+
+
+def test_solve_forms_no_settled_column(monkeypatch):
+    # each product is tagged with the column of the entry it updates; while
+    # column col is pivoted, every product updates a column right of col.
+    # An n = 2 solve with two right-hand columns forms 10 products, n = 1
+    # with one forms 1
+    spec = ambient_field(3, 1, 4)
+    rng = random.Random(40)
+    real_mul, real_sub = CinfElem.__mul__, CinfElem.__sub__
+    tags, keep, seen, pivot = {}, [], [], []
+
+    def tag(out, col):
+        # a tagged object stays alive, so no other object takes its id
+        tags[id(out)] = col
+        keep.append(out)
+        return out
+
+    def mul(x, y):
+        cols = [tags[id(v)] for v in (x, y) if id(v) in tags]
+        if not cols or not pivot or pivot[-1] is None:
+            return real_mul(x, y)  # inside c_inv, or not an entry
+        seen.append((pivot[-1], max(cols)))
+        return tag(real_mul(x, y), max(cols))
+
+    def sub(x, y):
+        out = real_sub(x, y)
+        return tag(out, tags[id(x)]) if id(x) in tags else out
+
+    def inv(x):
+        col = len(pivot)
+        pivot.append(None)
+        out = c_inv(x)
+        pivot[-1] = col
+        return out
+
+    for n, k, count in ((1, 1, 1), (2, 2, 10), (3, 3, None), (3, 1, None)):
+        while True:
+            a = rand_mat(spec, rng, n)
+            rhs = [row[:k] for row in rand_mat(spec, rng, max(n, k))[:n]]
+            try:
+                want = full_elimination_solve(a, rhs)
+            except SingularMatrixError:
+                continue
+            if all(not x.is_zero() for row in a for x in row):
+                break
+        tags.clear()
+        for row in a:
+            for j, x in enumerate(row):
+                tag(x, j)
+        for row in rhs:
+            for j, x in enumerate(row):
+                tag(x, n + j)
+        seen.clear()
+        pivot.clear()
+        monkeypatch.setattr(CinfElem, "__mul__", mul)
+        monkeypatch.setattr(CinfElem, "__sub__", sub)
+        monkeypatch.setattr(linalg, "c_inv", inv)
+        got = mat_solve(a, rhs)
+        monkeypatch.undo()
+        assert got == want
+        assert len(pivot) == n and seen
+        assert all(col > piv for piv, col in seen), seen
+        if count is not None:
+            assert len(seen) == count
