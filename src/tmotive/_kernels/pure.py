@@ -30,6 +30,8 @@ same twelve arguments, so a caller or tracer handles them alike; the
 tests check every kernel against a schoolbook product and merge.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..ffield import lane_digits
@@ -59,9 +61,18 @@ def _lane_block(p, D):
     return block
 
 
+@lru_cache(maxsize=None)
+def _radix_powers(radix, D):
+    """radix ** arange(D), built once per (radix, D) and read-only, since
+    every repack shares it."""
+    weights = radix ** np.arange(D, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
 def _reduce_lanes(words, p, D, radix):
     """Each lane of words mod p, recombined with digit d weighted radix**d."""
-    return lane_digits(words, D) % p @ radix ** np.arange(D, dtype=np.int64)
+    return lane_digits(words, D) % p @ _radix_powers(radix, D)
 
 
 def distinct(a):

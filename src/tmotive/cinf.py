@@ -14,7 +14,8 @@ precision; the only lossy step is truncation.  Precision propagation:
                stored exponent (P itself for a term-free element)
 * dot:         sum of products a_k b_k plus addends x_m, in one kernel
                call: P = the least of each product's mul precision and
-               each addend's P, that of the chained sum
+               each addend's P, that of the chained sum (one pair alone
+               is the product itself)
 * inversion:   P = P_x - 2 v_N(x)   (relative precision preserved)
 * twist by i:  P multiplies by q^i
 * m-th root:   relative precision preserved
@@ -278,9 +279,14 @@ def dot(pairs, adds=()):
     product's terms below a cap do not depend on operand terms that can
     only land above it.  (Near _PREC_CAP, mixed ramifications are the one
     exception: the chain clamps each product's operands at that pair's own
-    lcm, this at the lcm of all.)
+    lcm, this at the lcm of all.)  One pair and no addend is the product
+    a * b itself: the same lcm, the same cap, and a one-term factor takes
+    series_mul's shift and scale rather than an accumulator.
     """
     pairs, adds = list(pairs), list(adds)
+    if len(pairs) == 1 and not adds:
+        a, b = pairs[0]
+        return a * b
     ops = [x for ab in pairs for x in ab] + adds
     s = ops[0].spec
     if any(x.spec is not s for x in ops):
@@ -350,29 +356,35 @@ def _newton_inv_root(unit, m):
     """unit^(-1/m) for a unit 1 + w with v(w) > 0 and p not dividing m.
 
     Newton's iteration y -> y ((m + 1) - unit y^m) / m (Brent-Kung 1978)
-    on a halving schedule that starts at the precision already known:
-    with e1 the first exponent of w (rel when unit is exactly 1), y = 1 is
-    exact mod t^(e1/N).  P_J = rel and P_(j-1) = ceil(P_j / 2) while
-    P_j > e1, so P_0 <= e1 < P_1, and step j >= 1 runs on y and unit at
-    precision P_j.  v(1 - unit y^m) at least doubles per step, so y
-    enters step j exact below P_(j-1) >= P_j / 2 and leaves it exact below
-    P_j; the J steps (none when rel <= e1, and then no product is formed)
-    end at the unique unit^(-1/m) mod t^(rel/N), the same bits a run of
-    every step at full precision gives.
+    on a halving schedule that starts where the binomial series is exact:
+    (1 + w)^(-1/m) = 1 - w/m + O(w^2), so with e1 the first exponent of w
+    (rel when unit is exactly 1), y = 1 - w/m is exact mod t^(2 e1/N).
+    P_J = rel and P_(j-1) = ceil(P_j / 2) while P_j > 2 e1, so
+    P_0 <= 2 e1 < P_1.  The start is the constant 1 beside w's terms below
+    P_0, negated and scaled by 1/m, and forms no product.  Step j >= 1 runs
+    on y and unit at precision P_j and forms the residual
+    (m + 1) - unit y^m in one dot, (-unit) y^m + (m + 1), then one product
+    by y.  v(1 - unit y^m) at least doubles per step, so y enters step j
+    exact below P_(j-1) >= P_j / 2 and leaves it exact below P_j; the J
+    steps (none when rel <= 2 e1, and then no kernel call is made) end at
+    the unique unit^(-1/m) mod t^(rel/N), the same bits a run of every
+    step at full precision gives.
     """
-    spec, rel = unit.spec, unit.prec
+    spec, ram, rel = unit.spec, unit.ram, unit.prec
     e1 = int(unit.exps[1]) if len(unit.exps) > 1 else rel
     schedule = [rel]
-    while schedule[-1] > e1:
+    while schedule[-1] > 2 * e1:
         schedule.append((schedule[-1] + 1) // 2)
-    y = CinfElem.const(spec, unit.ram, schedule[-1], spec.one)
-    top = CinfElem.const(spec, unit.ram, rel, spec.scalar(m + 1))
     m_inv = spec.scalar(m).inv()
+    y = unit.truncate(schedule[-1]).scale(-m_inv)  # -(1 + w)/m mod t^P_0
+    y = CinfElem(spec, ram, schedule[-1], y.exps,
+                 np.concatenate(([spec.one.idx], y.coeffs[1:])), _canonical=True)
+    top = CinfElem.const(spec, ram, rel, spec.scalar(m + 1))
+    neg = -unit
     for p in reversed(schedule[:-1]):
         # raise y's declared precision; its terms are exact below ceil(p / 2)
-        y = CinfElem(spec, unit.ram, p, y.exps, y.coeffs, _canonical=True)
-        u = unit.truncate(p)
-        y = (y * (top - u * y ** m)).scale(m_inv).truncate(p)
+        y = CinfElem(spec, ram, p, y.exps, y.coeffs, _canonical=True)
+        y = (y * dot([(neg.truncate(p), y ** m)], [top])).scale(m_inv).truncate(p)
     return y
 
 
@@ -398,10 +410,12 @@ def contract(x, update, apply, cap):
 
 def c_inv(x):
     """Series inverse: peel the leading monomial, then invert the unit by
-    the shared Newton iteration at m = 1, y -> y (2 - unit y), whose steps
-    double their precision from e1, the first exponent of unit - 1, up to
-    the relative precision rel (none when unit is exactly 1); the inverse
-    mod t^rel is unique, so the bits are those of full-precision steps.
+    the shared Newton iteration at m = 1, y -> y (2 - unit y), which starts
+    from y = 1 - w (w = unit - 1, exact below 2 e1, e1 the first exponent
+    of w) and doubles its precision from there up to the relative
+    precision rel, each step one residual dot 2 - unit y and one product
+    (none when rel <= 2 e1 or unit is exactly 1); the inverse mod t^rel is
+    unique, so the bits are those of full-precision steps.
     """
     if x.is_zero():
         raise PrecisionError("inverse of an element that is zero to precision")
@@ -469,10 +483,11 @@ def c_root(x, m):
     once; the root itself is the first one in packed order, found by
     exhaustive scan.  The unit's root is unit y^(m - 1) with
     y = unit^(-1/m) from the shared Newton iteration
-    y -> y ((m + 1) - unit y^m) / m, whose steps double their precision
-    from e1, the first exponent of unit - 1, up to the unit's relative
-    precision rel (the root mod t^rel is unique, so the bits are those of
-    full-precision steps).
+    y -> y ((m + 1) - unit y^m) / m, which starts from y = 1 - w/m
+    (w = unit - 1, exact below 2 e1, e1 the first exponent of w) and
+    doubles its precision from there up to the unit's relative precision
+    rel, forming each residual (m + 1) - unit y^m in one dot (the root mod
+    t^rel is unique, so the bits are those of full-precision steps).
     The ramification is lifted to N*m when m does not divide the leading
     exponent.
     """

@@ -119,11 +119,20 @@ def _matpow(M, e, p):
     return acc
 
 
+@lru_cache(maxsize=None)
+def _lane_shifts(D):
+    """b * arange(D), b = 64 // D: each lane's shift, built once per D and
+    read-only, since every call shares it."""
+    shifts = (64 // D) * np.arange(D, dtype=np.int64)
+    shifts.flags.writeable = False
+    return shifts
+
+
 def lane_digits(words, D):
     """The D lanes of lane words (FieldSpec.lane_np: digit d in bits
-    [b*d, b*d + b), b = 64 // D), on a new last axis."""
-    bits = 64 // D
-    return (words[..., None] >> (bits * np.arange(D))) & ((1 << bits) - 1)
+    [b*d, b*d + b), b = 64 // D), on a new last axis; the lane shifts
+    come from _lane_shifts, so a call builds no constant."""
+    return (words[..., None] >> _lane_shifts(D)) & ((1 << 64 // D) - 1)
 
 
 # ---------------------------------------------------------------------------

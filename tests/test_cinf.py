@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from tmotive import cinf
+from tmotive._kernels import pure
 from tmotive.errors import PrecisionError
 from tmotive.ffield import FFElem, FFPoly, ambient_field, find_root_in_field
 from tmotive.cinf import (_PREC_CAP, CinfElem, PolyT, c_inv, c_root, inv_theta_i0, q_twist,
@@ -300,26 +301,30 @@ def test_doubling_schedule_matches_oracles_at_iso_size(F):
     assert _outcome(c_root, x, 4) == _outcome(_hensel_root, x, 4)
 
 
+def _spy_kernels(monkeypatch, calls):
+    """Record (kernel name, cap) for every kernel call cinf makes."""
+    for name in ("series_mul", "series_dot", "series_add_merge"):
+        def spy(*args, _name=name, _kernel=getattr(cinf._kernels, name)):
+            calls.append((_name, args[-1]))
+            return _kernel(*args)
+        monkeypatch.setattr(cinf._kernels, name, spy)
+
+
 def test_newton_precision_doubles_per_step(F, monkeypatch):
     rel = PU * N
     x = _dense_series(F, random.Random(17), N, 0, rel)
-    caps = []
-    series_mul = cinf._kernels.series_mul
-
-    def spy(*args):
-        caps.append(args[-1])
-        return series_mul(*args)
-
-    monkeypatch.setattr(cinf._kernels, "series_mul", spy)
+    assert x.exps[1] == 1  # e1 = 1, so y = 1 - w is exact at precision 2
+    calls = []
+    _spy_kernels(monkeypatch, calls)
     y = c_inv(x)
     monkeypatch.undo()
-    # step j = 1..J of J = bitlen(rel - 1) runs at ceil(rel / 2^(J - j))
-    # and forms two products, unit y and y (2 - unit y); y = 1 is exact
-    # at precision 1, so no step runs there
+    # step j = 2..J of J = bitlen(rel - 1) runs at ceil(rel / 2^(J - j)):
+    # one residual dot 2 - unit y, then one product y (2 - unit y); the
+    # start 1 - w at ceil(rel / 2^(J - 1)) = 2 = 2 e1 forms no product
     J = (rel - 1).bit_length()
-    schedule = [-(-rel // 2 ** (J - j)) for j in range(1, J + 1)]
-    assert schedule[0] == 2 and schedule[-1] == rel
-    assert caps == [P for P in schedule for _ in range(2)]
+    schedule = [-(-rel // 2 ** (J - j)) for j in range(2, J + 1)]
+    assert schedule[0] == 4 and schedule[-1] == rel
+    assert calls == [(name, P) for P in schedule for name in ("series_dot", "series_mul")]
     assert y == _oracle_inv(x)
 
 
@@ -336,15 +341,22 @@ def _sparse_series(G, rng, ram, e0, rel, e):
     return x
 
 
+def _first_terms(rel):
+    """First non-constant exponents around every start: e = 1, a third of
+    rel, just below and at rel / 2 (2 e >= rel takes no step), and at or
+    past rel (a unit of exactly 1)."""
+    return (1, rel // 3, (rel - 1) // 2, rel // 2, (rel + 1) // 2, rel - 1, rel, rel + 5)
+
+
 @pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
 def test_newton_from_the_first_term_matches_oracles(p, s, D):
-    # y = 1 is exact below the unit's first non-constant exponent e, so
-    # Newton starts there: e = 1 is the old start, e >= rel takes no step
+    # y = 1 - w/m is exact below twice the unit's first non-constant
+    # exponent e, so Newton starts there: 2 e >= rel takes no step
     G = ambient_field(p, s, D)
     rng = random.Random(5 * p + s)
     for ram in (2, G.q * G.q - 1):
         for rel in (40, 129):
-            for e in (1, rel // 3, rel - 1, rel, rel + 5):
+            for e in _first_terms(rel):
                 x = _sparse_series(G, rng, ram, 4 * rng.randrange(-2 * ram, 2 * ram), rel, e)
                 assert _outcome(c_inv, x) == _outcome(_oracle_inv, x)
                 for m in (2, 4):
@@ -355,22 +367,26 @@ def test_newton_steps_run_only_above_the_start(F, monkeypatch):
     rel = PU
     rng = random.Random(19)
     calls = []
-    for name in ("series_mul", "series_dot", "series_add_merge"):
-        def spy(*args, _name=name, _kernel=getattr(cinf._kernels, name)):
-            calls.append((_name, args[-1]))
-            return _kernel(*args)
-        monkeypatch.setattr(cinf._kernels, name, spy)
+    _spy_kernels(monkeypatch, calls)
     halvings = sorted({-(-rel // 2 ** k) for k in range(rel.bit_length() + 1)})
-    for e in (1, rel // 3, rel - 1, rel, rel + 5):
+    for e in _first_terms(rel):
         x = _sparse_series(F, rng, N, 0, rel, e)
+        steps = [P for P in halvings if P > 2 * e]
         calls.clear()
         y = c_inv(x)
-        # a step runs at each halving of rel above e, and forms two
-        # products, unit y and y (2 - unit y); exactly 1 makes no kernel call
-        caps = [cap for name, cap in calls if name == "series_mul"]
-        assert caps == [P for P in halvings if P > e for _ in range(2)]
-        assert bool(calls) == (e < rel)
+        # a step runs at each halving of rel above 2 e, and forms one
+        # residual dot 2 - unit y and one product y (2 - unit y); with
+        # 2 e >= rel, or exactly 1, no kernel call is made
+        assert calls == [(name, P) for P in steps for name in ("series_dot", "series_mul")]
+        assert bool(calls) == (2 * e < rel)
         assert y == _oracle_inv(x)
+        for m in (2, 4):
+            # at every m, each step forms its residual in one dot
+            calls.clear()
+            r = c_root(x, m)
+            assert [cap for name, cap in calls if name == "series_dot"] == steps
+            assert "series_add_merge" not in {name for name, _ in calls}
+            assert r == _hensel_root(x, m)
 
 
 @pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (7, 1, 4), (3, 2, 8)])
@@ -492,6 +508,43 @@ def test_dot_is_the_chained_sum(p, s, D):
         assert one == a * b and (one.ram, one.prec) == ((a * b).ram, (a * b).prec)
         if adds:
             assert cinf.dot([], adds) == _chained([], adds)
+
+
+def _one_term_series(G, rng, ram):
+    prec = rng.randrange(10, 50) * ram
+    return CinfElem.monomial(G, ram, prec, rng.randrange(-3 * ram, prec),
+                             G.el(rng.randrange(1, G.order)))
+
+
+@pytest.mark.parametrize("p,s,D", [(3, 1, 4), (5, 1, 4), (3, 2, 8)])
+def test_one_pair_dot_is_the_product(p, s, D, monkeypatch):
+    # one pair and no addend is a * b: the same bits, ram and declared
+    # precision, at one ramification and at mixed ones, with term-free
+    # and one-term factors among them
+    G = ambient_field(p, s, D)
+    rng = random.Random(60 + G.q)
+    kinds = (_mixed_series, _one_term_series, lambda G, rng, ram: CinfElem.zero(G, ram, 20 * ram))
+    for trial in range(40):
+        rams = (8,) if trial % 2 else (8, 4, 6, 3)
+        a, b = (rng.choice(kinds)(G, rng, rng.choice(rams)) for _ in range(2))
+        for x, y in ((a, b), (b, a)):
+            got, want = cinf.dot([(x, y)]), x * y
+            assert got == want and (got.ram, got.prec) == (want.ram, want.prec)
+            assert (got.exps.tolist(), got.coeffs.tolist()) == \
+                (want.exps.tolist(), want.coeffs.tolist())
+
+    # a one-term factor shifts and scales the other: no accumulator runs
+    def no_dot(*args):
+        raise AssertionError("a one-pair dot with a one-term factor reached series_dot")
+
+    x = _mixed_series(G, rng, 8)
+    while x.is_zero():
+        x = _mixed_series(G, rng, 8)
+    c = _one_term_series(G, rng, 8)
+    want = [x * c, c * x]
+    monkeypatch.setattr(cinf._kernels, "series_dot", no_dot)
+    monkeypatch.setattr(pure, "series_dot", no_dot)
+    assert [cinf.dot([(x, c)]), cinf.dot([(c, x)])] == want
 
 
 def test_dot_cuts_a_product_to_nothing(F):

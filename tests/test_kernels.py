@@ -11,8 +11,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from tmotive import ffield
 from tmotive.cinf import CinfElem
-from tmotive.ffield import ambient_field
+from tmotive.ffield import ambient_field, lane_digits
 from tmotive._kernels import pure
 
 
@@ -288,6 +289,28 @@ def test_dot_table_covers_every_sum_of_two_logs(F, F5, F7, F9):
         with pytest.raises(AssertionError, match="two logs"):
             pure.series_dot([(zero, top, zero, top)], [], G.log_np, G.lane_np, short,
                             qm1, G.p, G.D, 10)
+
+
+def test_lane_constants_are_built_once(F, F5, F7, F9):
+    # lane_digits and _reduce_lanes read cached shifts and weights: the
+    # same results as building b * arange(D) and radix ** arange(D) on
+    # every call, on words of summed lanes in one and two dimensions; the
+    # shared arrays refuse writes
+    rng = np.random.default_rng(31)
+    for G in (F, F5, F7, F9):
+        bits = 64 // G.D
+        words = G.lane_np[rng.integers(0, G.order, size=(3, 4, 50))].sum(axis=0)
+        want = (words[..., None] >> (bits * np.arange(G.D))) & ((1 << bits) - 1)
+        assert np.array_equal(lane_digits(words, G.D), want)
+        for radix in (G.p, 1 << bits):
+            flat = words.ravel()
+            assert np.array_equal(pure._reduce_lanes(flat, G.p, G.D, radix),
+                                  (want.reshape(-1, G.D) % G.p) @ radix ** np.arange(G.D))
+            assert pure._radix_powers(radix, G.D) is pure._radix_powers(radix, G.D)
+        assert ffield._lane_shifts(G.D) is ffield._lane_shifts(G.D)
+        for const in (ffield._lane_shifts(G.D), pure._radix_powers(G.p, G.D)):
+            with pytest.raises(ValueError, match="read-only"):
+                const[0] = 1
 
 
 def _schoolbook_dot(G, pairs, adds, cap):
